@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race lint bench benchjson trace-smoke verify-smoke serve-smoke soak-smoke loadgen chaos fuzz check clean
+.PHONY: all vet build test race lint bench benchjson perfbench-check trace-smoke verify-smoke serve-smoke soak-smoke loadgen chaos fuzz check clean
 
 all: check
 
@@ -44,6 +44,13 @@ PR ?=
 benchjson:
 	$(GO) run ./cmd/benchjson $(if $(PR),-pr $(PR))
 
+# The benchmark under perfbench/ is its own module (it builds against this
+# one through a replace directive), so ./... above never reaches it. Vet,
+# build and test it here, so a change to a counter or a wire field it
+# compiles against fails the check instead of the benchmark run.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) build ./... && $(GO) test ./...
+
 # Observability smoke: build and verify a layout with -trace, then validate
 # the Chrome-trace file against the schema tracelint enforces (span events
 # with resolvable parents plus a complete counter snapshot).
@@ -54,10 +61,9 @@ trace-smoke:
 
 # Tiled-verifier smoke: build Hypercube(14) at L=4 and verify it under a
 # deliberately small memory ceiling, then assert from the printed counters
-# that the ladder really dropped to the tiled rung (tiles_checked > 0)
-# instead of silently verifying dense. Guards the whole -verify-mem path
-# end to end: flag parsing, BuildRequest plumbing, ladder selection, and
-# the counter discipline the assertion reads.
+# that the box was really split into tiles (tiles_checked > 0). Guards the
+# whole -verify-mem path end to end: flag parsing, BuildRequest plumbing,
+# the per-tile budget, and the counter discipline the assertion reads.
 verify-smoke:
 	$(GO) run ./cmd/layoutgen -network hypercube -n 14 -L 4 -verify-mem 4m -counters | grep -E '^tiles_checked [1-9]'
 
@@ -83,17 +89,21 @@ loadgen:
 	$(GO) run ./cmd/benchjson -norun -pr 7 -merge /tmp/loadgen-clean.json -merge /tmp/loadgen-chaos.json
 
 # Chaos sweep: corrupt every registry family with every fault class and
-# require both verifiers to catch each corruption, under the race detector.
+# require the verifier to catch each corruption with the map reference's
+# violation set at every swept worker count and ceiling, under the race
+# detector.
 chaos:
 	$(GO) test -race -run 'TestChaos|TestCancel|TestBudget|TestBuildContains|TestDegraded' -v .
 	$(GO) test -race ./internal/fault/
 
-# Short fuzz smoke over the differential checker oracle.
+# Short fuzz smokes: the differential oracle (Verify against the map
+# reference on corrupted layouts) and the tile partitioner.
 FUZZTIME ?= 10s
 fuzz:
-	$(GO) test -fuzz FuzzCheckDifferential -fuzztime $(FUZZTIME) ./internal/fault/
+	$(GO) test -run '^$$' -fuzz FuzzCheckDifferential -fuzztime $(FUZZTIME) ./internal/fault/
+	$(GO) test -run '^$$' -fuzz FuzzNewTiling -fuzztime $(FUZZTIME) ./internal/grid/
 
-check: vet build test race lint trace-smoke verify-smoke serve-smoke soak-smoke
+check: vet build test race lint perfbench-check trace-smoke verify-smoke serve-smoke soak-smoke
 
 clean:
 	$(GO) clean ./...

@@ -61,24 +61,16 @@ type Options struct {
 	// (width+1)·(height+1)·(L+1); a layout that would exceed it fails fast
 	// with a *BudgetError before any wire is realized. Zero means no budget.
 	MaxCells int
-	// DenseCheckCells tunes the verifier's dense-occupancy threshold (used
-	// by VerifyLayout): zero adapts to the layout (the dense bit-grid is
-	// used whenever it is no larger than the hash map it replaces), a
-	// negative value forces the sparse hash path, and a positive value caps
-	// the dense grid's unit-edge slot count. Verification results are
-	// identical for every value; only speed and memory differ.
-	DenseCheckCells int
-	// VerifyMemBytes, when non-zero, caps the verifier's occupancy working
-	// set (used by VerifyLayout and VerifyFoldedViolations): a positive
-	// value is a byte ceiling across all workers, a negative value forces
-	// the tiled rung with its default per-tile budget. When the dense
-	// bit-grid would exceed the ceiling, the verifier switches to the tiled
-	// streaming rung — the bounding box is partitioned into tiles small
-	// enough that each worker's pooled bitset fits the budget, wires are
-	// streamed through the tiles they cross, and tile-border edges are
-	// reconciled in a final pass. Violation sets are identical on every
-	// rung; only memory and speed differ. Zero (the default) applies no
-	// ceiling. See grid.CheckOptions.TileBytes for the exact ladder.
+	// VerifyMemBytes, when positive, caps the verifier's occupancy working
+	// set (used by VerifyLayout and VerifyFoldedViolations) at that many
+	// bytes across all workers. The verifier partitions the layout's
+	// bounding box into tiles whose pooled bitsets fit a 1 MiB per-tile
+	// budget, streams wires through the tiles they cross, and reconciles
+	// tile-border edges in a final pass; a positive ceiling lowers the
+	// per-tile budget to VerifyMemBytes/Workers. Zero or a negative value
+	// (the default) applies no ceiling. Violation sets are identical for
+	// every value; only memory and speed differ. See
+	// grid.CheckOptions.TileBytes.
 	VerifyMemBytes int
 	// Observer, when non-nil, receives hierarchical spans over the build
 	// and verify phases (placement, routing, realization, verify and their
@@ -161,22 +153,16 @@ func (o Options) buildCluster(cfg cluster.Config) (*Layout, error) {
 type Violation = grid.Violation
 
 // VerifyLayout verifies lay under the cross-cutting Options knobs: Workers
-// bounds the fan-out, Context cancels cooperatively, DenseCheckCells tunes
-// the dense-occupancy threshold, VerifyMemBytes caps the occupancy working
-// set (engaging the tiled streaming rung when the dense bit-grid would not
-// fit), and Observer (when non-nil) receives a "verify" span plus the
-// verifier counters. A nil violation slice with a nil error means the
-// layout is legal; the violation set is identical for every Options value.
+// bounds the fan-out, Context cancels cooperatively, VerifyMemBytes caps
+// the occupancy working set, and Observer (when non-nil) receives a
+// "verify" span plus the verifier counters. A nil violation slice with a
+// nil error means the layout is legal; the violation set is identical for
+// every Options value.
 func VerifyLayout(lay *Layout, o Options) ([]Violation, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
 	}
-	return lay.VerifyOpts(o.Context, grid.CheckOptions{
-		Workers:    o.Workers,
-		DenseLimit: o.DenseCheckCells,
-		TileBytes:  o.VerifyMemBytes,
-		Observer:   o.Observer,
-	})
+	return lay.VerifyOpts(o.Context, grid.CheckOptions{Workers: o.Workers, TileBytes: o.VerifyMemBytes, Observer: o.Observer})
 }
 
 // Robustness errors surfaced by the build and verify paths.
@@ -491,18 +477,12 @@ func Fold(lay *Layout, l int) (*Layout, error) { return fold.Fold(lay, l) }
 // folded nodes sit on raised active layers) and reports the findings in
 // VerifyLayout's shape: a typed violation slice plus an error for
 // cancellation. The cross-cutting Options knobs apply exactly as in
-// VerifyLayout — Workers, Context, DenseCheckCells, VerifyMemBytes,
-// Observer.
+// VerifyLayout — Workers, Context, VerifyMemBytes, Observer.
 func VerifyFoldedViolations(lay *Layout, o Options) ([]Violation, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
 	}
-	return fold.VerifyOpts(o.Context, lay, grid.CheckOptions{
-		Workers:    o.Workers,
-		DenseLimit: o.DenseCheckCells,
-		TileBytes:  o.VerifyMemBytes,
-		Observer:   o.Observer,
-	})
+	return fold.VerifyOpts(o.Context, lay, grid.CheckOptions{Workers: o.Workers, TileBytes: o.VerifyMemBytes, Observer: o.Observer})
 }
 
 // VerifyFolded checks a folded layout with default options and joins all

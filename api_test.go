@@ -14,7 +14,7 @@ func build(t *testing.T) func(*mlvlsi.Layout, error) *mlvlsi.Layout {
 		if err != nil {
 			t.Fatalf("build: %v", err)
 		}
-		if v := lay.Verify(); len(v) > 0 {
+		if v, _ := mlvlsi.VerifyLayout(lay, mlvlsi.Options{}); len(v) > 0 {
 			t.Fatalf("%s: illegal layout: %v", lay.Name, v[0])
 		}
 		return lay
@@ -116,7 +116,8 @@ func TestRenderers(t *testing.T) {
 
 func ExampleHypercube() {
 	lay, _ := mlvlsi.Hypercube(6, mlvlsi.Options{Layers: 4})
-	fmt.Println(len(lay.Nodes), len(lay.Wires) > 0, len(lay.Verify()) == 0)
+	v, _ := mlvlsi.VerifyLayout(lay, mlvlsi.Options{})
+	fmt.Println(len(lay.Nodes), len(lay.Wires) > 0, len(v) == 0)
 	// Output: 64 true true
 }
 
@@ -138,7 +139,7 @@ func TestGenericLayoutAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := lay.Verify(); len(v) > 0 {
+	if v, _ := mlvlsi.VerifyLayout(lay, mlvlsi.Options{}); len(v) > 0 {
 		t.Fatalf("generic layout illegal: %v", v[0])
 	}
 	if len(lay.Wires) != 7 {
@@ -168,7 +169,8 @@ func TestHypercube3DAPI(t *testing.T) {
 
 func ExampleGeneralizedHypercube() {
 	lay, _ := mlvlsi.GeneralizedHypercube([]int{4, 4}, mlvlsi.Options{Layers: 4})
-	fmt.Println(len(lay.Nodes), len(lay.Verify()) == 0)
+	v, _ := mlvlsi.VerifyLayout(lay, mlvlsi.Options{})
+	fmt.Println(len(lay.Nodes), len(v) == 0)
 	// Output: 16 true
 }
 
@@ -181,7 +183,8 @@ func ExampleCCC() {
 
 func ExampleButterfly() {
 	lay, _ := mlvlsi.Butterfly(4, mlvlsi.Options{Layers: 4})
-	fmt.Println(len(lay.Nodes), len(lay.Verify()) == 0)
+	v, _ := mlvlsi.VerifyLayout(lay, mlvlsi.Options{})
+	fmt.Println(len(lay.Nodes), len(v) == 0)
 	// Output: 64 true
 }
 
@@ -215,7 +218,8 @@ func ExampleGenericLayout() {
 		g.AddLink(i, (i+1)%5)
 	}
 	lay, _ := mlvlsi.GenericLayout(g, mlvlsi.Options{Layers: 2})
-	fmt.Println(len(lay.Wires), len(lay.Verify()) == 0)
+	v, _ := mlvlsi.VerifyLayout(lay, mlvlsi.Options{})
+	fmt.Println(len(lay.Wires), len(v) == 0)
 	// Output: 5 true
 }
 
@@ -233,7 +237,8 @@ func ExampleStar() {
 
 func ExampleMesh() {
 	lay, _ := mlvlsi.Mesh([]int{4, 6}, mlvlsi.Options{Layers: 2})
-	fmt.Println(len(lay.Nodes), len(lay.Verify()) == 0)
+	v, _ := mlvlsi.VerifyLayout(lay, mlvlsi.Options{})
+	fmt.Println(len(lay.Nodes), len(v) == 0)
 	// Output: 24 true
 }
 

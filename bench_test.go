@@ -222,12 +222,12 @@ func BenchmarkAblationFoldedRows(b *testing.B) {
 }
 
 // Ablation: cost of the exact legality verifier (marks every unit wire edge
-// in a dense occupancy bitset), the price of machine-checked layouts.
+// in a tile's occupancy bitset), the price of machine-checked layouts.
 func BenchmarkAblationVerifier(b *testing.B) {
 	lay := mustLay(b)(core.Hypercube(8, 4, 0, 0))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if v := lay.Verify(); len(v) > 0 {
+		if v, _ := lay.VerifyOpts(nil, grid.CheckOptions{}); len(v) > 0 {
 			b.Fatal(v[0])
 		}
 	}
@@ -295,67 +295,28 @@ func BenchmarkE18GenericRouter(b *testing.B) {
 	b.ReportMetric(float64(area), "area")
 }
 
-// Serial-vs-parallel verification on the PR's acceptance workload: the
-// 12-cube under L=4 (24576 wires). Both checkers run on a dense occupancy
-// bitset indexed by the layout's bounding box (pooled across calls, so the
-// legal path is allocation-free); the *Sparse variants force the retained
-// map-based fallback with DenseLimit < 0, which is also the pre-dense
-// baseline the README quotes.
-func benchCheckWires(b *testing.B) ([]grid.Wire, grid.CheckOptions) {
-	b.Helper()
-	lay := mustLay(b)(core.Hypercube(12, 4, 0, 0))
-	return lay.Wires, grid.CheckOptions{Layers: lay.L, Discipline: true, Nodes: lay.Nodes}
-}
-
-func BenchmarkCheckSerial(b *testing.B) {
-	wires, opts := benchCheckWires(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if v := grid.Check(wires, opts); len(v) > 0 {
-			b.Fatal(v[0])
-		}
-	}
-}
-
-func BenchmarkCheckSerialSparse(b *testing.B) {
-	wires, opts := benchCheckWires(b)
-	opts.DenseLimit = -1
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if v := grid.Check(wires, opts); len(v) > 0 {
-			b.Fatal(v[0])
-		}
-	}
-}
-
-func BenchmarkCheckParallel(b *testing.B) {
-	for _, workers := range []int{1, 4} {
-		workers := workers
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			wires, opts := benchCheckWires(b)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if v := grid.CheckParallel(wires, opts, workers); len(v) > 0 {
-					b.Fatal(v[0])
+// BenchmarkCheck times grid.Verify on the 12- and 14-cube under L=4
+// (24576 and 114688 wires) at one and four workers. The 12-cube fits a
+// handful of 1 MiB tiles, the 14-cube a few dozen; each tile's bitset is
+// pooled across calls, so the legal path's allocations are per-check
+// bookkeeping, not per edge.
+func BenchmarkCheck(b *testing.B) {
+	for _, dim := range []int{12, 14} {
+		var lay *layout.Layout
+		for _, workers := range []int{1, 4} {
+			b.Run(fmt.Sprintf("hypercube%d/workers=%d", dim, workers), func(b *testing.B) {
+				if lay == nil {
+					lay = mustLay(b)(core.Hypercube(dim, 4, 0, 0))
 				}
-			}
-		})
-	}
-}
-
-func BenchmarkCheckParallelSparse(b *testing.B) {
-	for _, workers := range []int{1, 4} {
-		workers := workers
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			wires, opts := benchCheckWires(b)
-			opts.DenseLimit = -1
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if v := grid.CheckParallel(wires, opts, workers); len(v) > 0 {
-					b.Fatal(v[0])
+				opts := grid.CheckOptions{Layers: lay.L, Discipline: true, Nodes: lay.Nodes, Workers: workers}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if v, err := grid.Verify(nil, lay.Wires, opts); err != nil || len(v) > 0 {
+						b.Fatal(err, v)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

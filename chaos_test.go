@@ -3,6 +3,7 @@ package mlvlsi
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -14,31 +15,30 @@ import (
 
 // TestChaosSweepAllFamilies is the metamorphic chaos sweep: every registered
 // family is built at its default parameters, corrupted with every fault
-// class, and both the serial and the sharded verifier must flag each
-// corruption. A miss here means a verifier blind spot.
+// class, and the verifier must flag each corruption with the map
+// reference's violation set at every worker count and memory ceiling
+// fault.SelfTest sweeps. A miss here means a verifier blind spot.
 func TestChaosSweepAllFamilies(t *testing.T) {
 	for _, fam := range Families() {
 		lay, err := BuildFamily(FamilySpec{Name: fam.Name}, Options{})
 		if err != nil {
 			t.Fatalf("%s: build: %v", fam.Name, err)
 		}
-		for _, workers := range []int{1, 4} {
-			if err := fault.SelfTest(lay, 1, workers); err != nil {
-				t.Errorf("%s (workers=%d): %v", fam.Name, workers, err)
-			}
+		if err := fault.SelfTest(lay, 1); err != nil {
+			t.Errorf("%s: %v", fam.Name, err)
 		}
 	}
 }
 
-// TestChaosSweepTiledGeometries repeats the chaos sweep through the tiled
-// streaming verifier at its three partition shapes: a single tile (the
-// default per-tile budget comfortably holds a small layout), a proper
-// multi-row multi-column grid (a tiny ceiling on the same layout), and a
-// degenerate thin partition (a wide, flat mesh whose tiles clip the full
-// height — the extreme-aspect-ratio stress collinear networks produce).
-// Every fault class must be detected on every geometry with the violation
-// set byte-identical to the sharded checker's, so seam clipping and border
-// reconciliation cannot hide a corruption whatever shape the budget forces.
+// TestChaosSweepTiledGeometries pins the three partition shapes the chaos
+// sweep's ceilings induce: a single tile (the default per-tile budget
+// comfortably holds a small layout), a proper multi-row multi-column grid (a
+// tiny ceiling on the same layout), and a degenerate thin partition (a
+// wide, flat mesh whose tiles clip the full height — the extreme-aspect-
+// ratio stress collinear networks produce). Every fault class must be
+// detected on every geometry with the violation set byte-identical to the
+// map reference's, so seam clipping and border reconciliation cannot hide a
+// corruption whatever shape the budget forces.
 func TestChaosSweepTiledGeometries(t *testing.T) {
 	square, err := Hypercube(6, Options{Layers: 4})
 	if err != nil {
@@ -54,20 +54,25 @@ func TestChaosSweepTiledGeometries(t *testing.T) {
 		tileBytes int
 		shape     func(tl grid.Tiling) bool
 	}{
-		{"one-tile", square, -1, func(tl grid.Tiling) bool { return tl.NX == 1 && tl.NY == 1 }},
+		{"one-tile", square, 0, func(tl grid.Tiling) bool { return tl.NX == 1 && tl.NY == 1 }},
 		{"grid", square, 1 << 10, func(tl grid.Tiling) bool { return tl.NX >= 2 && tl.NY >= 2 }},
 		{"thin", thin, 1 << 10, func(tl grid.Tiling) bool { return tl.NX >= 2 && tl.NY == 1 }},
 	}
 	for _, tc := range cases {
-		for _, workers := range []int{1, 4} {
+		if !slices.Contains(fault.SweepCeilings, tc.tileBytes) {
+			t.Fatalf("%s: ceiling %d is not one fault.SelfTest sweeps", tc.name, tc.tileBytes)
+		}
+		for _, workers := range fault.SweepWorkers {
 			tl, ok := grid.NewTiling(tc.lay.Wires, tc.tileBytes, workers)
 			if !ok || !tc.shape(tl) {
 				t.Fatalf("%s workers=%d: budget %d induced %dx%d tiles of %dx%d, not the intended geometry",
 					tc.name, workers, tc.tileBytes, tl.NX, tl.NY, tl.TileW, tl.TileH)
 			}
-			if err := fault.SelfTestTiled(tc.lay, 1, workers, tc.tileBytes); err != nil {
-				t.Errorf("%s workers=%d: %v", tc.name, workers, err)
-			}
+		}
+	}
+	for _, lay := range []*Layout{square, thin} {
+		if err := fault.SelfTest(lay, 1); err != nil {
+			t.Errorf("%s: %v", lay.Name, err)
 		}
 	}
 }
@@ -106,7 +111,7 @@ func TestCancelAbortsVerifyQuickly(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	vs, err := lay.VerifyContext(ctx, 0)
+	vs, err := VerifyLayout(lay, Options{Context: ctx})
 	elapsed := time.Since(start)
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled (got %d violations)", err, len(vs))
@@ -115,7 +120,7 @@ func TestCancelAbortsVerifyQuickly(t *testing.T) {
 		t.Errorf("canceled verify took %v, want < %v", elapsed, budget)
 	}
 	// A live context must behave exactly like the plain verifier.
-	vs, err = lay.VerifyContext(context.Background(), 0)
+	vs, err = VerifyLayout(lay, Options{Context: context.Background()})
 	if err != nil || len(vs) != 0 {
 		t.Errorf("live-context verify: err=%v violations=%d", err, len(vs))
 	}
@@ -140,7 +145,7 @@ func TestBudgetAbortsOversizedBuilds(t *testing.T) {
 	if err != nil || lay == nil {
 		t.Fatalf("in-budget build failed: %v", err)
 	}
-	if vs := lay.Verify(); len(vs) != 0 {
+	if vs, _ := VerifyLayout(lay, Options{}); len(vs) != 0 {
 		t.Errorf("in-budget build has %d violations", len(vs))
 	}
 }

@@ -2,14 +2,15 @@
 // testing.Benchmark and writes the results as a JSON trajectory file, one
 // record per benchmark:
 //
-//	{"bench": "check/serial", "ns_op": ..., "allocs_op": ..., "bytes_op": ..., "workers": 0}
+//	{"bench": "check/parallel", "ns_op": ..., "allocs_op": ..., "bytes_op": ..., "workers": 1}
 //
 // The committed BENCH_<n>.json files at the repo root are such snapshots,
 // one per PR that moved the numbers; CI runs `benchjson -quick` as a smoke
 // test and uploads the result as an artifact (numbers from shared runners
-// are noisy, so nothing gates on them). The *-sparse records force the
-// retained map-based checker (DenseLimit < 0), which doubles as the
-// pre-dense baseline, so every snapshot carries its own before/after pair.
+// are noisy, so nothing gates on them). The check/parallel records time
+// grid.Verify at one and four workers. Snapshots up to BENCH_10 also carry
+// check/serial, the *-sparse map-checker records and memceil/*/dense, whose
+// engines the single tiled verifier replaced.
 //
 // Since BENCH_8 the build records measure a prebuilt spec (spec assembly is
 // cheap and identical on both paths), and "build/hypercube" is the arena
@@ -22,12 +23,9 @@
 // BuildSpec calls.
 //
 // Since BENCH_10 the memceil/* records track the ROADMAP's memory-ceiling
-// story: for each hypercube dimension, one dense verify and one tiled
-// verify under a ceiling a quarter of the dense working set, with BytesOp
-// carrying the peak occupancy working set rather than allocator traffic.
-// Dimensions whose dense bitsets no longer fit an 8 GiB cap appear with
-// the tiled record only — that infeasibility is the point of the ladder's
-// tiled rung.
+// story: for each hypercube dimension, one verify under a ceiling a quarter
+// of the whole-box occupancy bitset, with BytesOp carrying the peak
+// occupancy working set rather than allocator traffic.
 //
 // Output selection: -out names the file explicitly; otherwise -pr N writes
 // BENCH_N.json, and with neither flag the tool refreshes the
@@ -48,7 +46,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -115,8 +112,6 @@ func main() {
 		fatal(err)
 	}
 	opts := grid.CheckOptions{Layers: lay.L, Discipline: true, Nodes: lay.Nodes}
-	sparse := opts
-	sparse.DenseLimit = -1
 
 	var records []Record
 	run := func(name string, workers int, fn func(b *testing.B)) {
@@ -135,19 +130,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "%-28s %14.0f ns/op %10d B/op %8d allocs/op\n",
 			name, rec.NsOp, rec.BytesOp, rec.AllocsOp)
 	}
-	checkSerial := func(o grid.CheckOptions) func(b *testing.B) {
+	check := func(workers int) func(b *testing.B) {
+		o := opts
+		o.Workers = workers
 		return func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if v := grid.Check(lay.Wires, o); len(v) > 0 {
-					fatal(v[0])
-				}
-			}
-		}
-	}
-	checkParallel := func(o grid.CheckOptions, workers int) func(b *testing.B) {
-		return func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if v := grid.CheckParallel(lay.Wires, o, workers); len(v) > 0 {
+				if v, err := grid.Verify(nil, lay.Wires, o); err != nil {
+					fatal(err)
+				} else if len(v) > 0 {
 					fatal(v[0])
 				}
 			}
@@ -196,11 +186,8 @@ func main() {
 		}
 	}
 
-	run("check/serial", 0, checkSerial(opts))
-	run("check/serial-sparse", 0, checkSerial(sparse))
 	for _, w := range []int{1, 4} {
-		run("check/parallel", w, checkParallel(opts, w))
-		run("check/parallel-sparse", w, checkParallel(sparse, w))
+		run("check/parallel", w, check(w))
 	}
 	run("build/hypercube", 1, build(1, scratch))
 	run("build/hypercube", 4, build(4, scratch))
@@ -221,68 +208,41 @@ func main() {
 }
 
 // memCeiling measures the ROADMAP memory-ceiling story: for each hypercube
-// dimension, one observed dense verify and one tiled verify under a ceiling
-// a quarter of the dense working set, both at L=4 and four workers. NsOp is
-// the single run's verify wall time; BytesOp the peak occupancy working set
-// — dense: shards × bitset bytes (the CellsAllocated counter), tiled: the
-// tile_bytes_peak gauge. Dimensions whose dense working set would exceed
-// eight GiB skip the dense run (that infeasibility is the point of the
-// tiled rung) and contribute only the tiled record, with the estimate
-// logged to stderr.
+// dimension, one observed verify at L=4 and four workers under a ceiling a
+// quarter of the whole-box occupancy bitset. NsOp is the single run's
+// verify wall time; BytesOp the peak occupancy working set (the
+// tile_bytes_peak gauge).
 func memCeiling(dims []int) []Record {
 	const workers = 4
-	const denseCap = int64(8) << 30
 	var records []Record
 	for _, dim := range dims {
 		lay, err := core.Hypercube(dim, 4, 0, 0)
 		if err != nil {
 			fatal(err)
 		}
-		opts := grid.CheckOptions{Layers: lay.L, Discipline: true, Nodes: lay.Nodes, Workers: workers}
-		shards := int64(workers)
-		if mp := int64(runtime.GOMAXPROCS(0)); mp < shards {
-			shards = mp
-		}
 		b := grid.Wires(lay.Wires).Bounds()
 		cells := 3 * int64(b.Width()+1) * int64(b.Height()+1) * int64(b.MaxZ-b.MinZ+1)
-		denseEst := (cells + 63) / 64 * 8 * shards
+		ceiling := int((cells + 63) / 64 * 8 / 4)
 
-		verify := func(kind string, tileBytes int) (int64, obs.Metrics) {
-			ob := obs.New()
-			run := opts
-			run.Observer = ob
-			run.TileBytes = tileBytes
-			start := time.Now()
-			v, err := grid.Verify(nil, lay.Wires, run)
-			if err != nil {
-				fatal(err)
-			}
-			if len(v) > 0 {
-				fatal(v[0])
-			}
-			fmt.Fprintf(os.Stderr, "memceil/hypercube%d/%s done in %v\n", dim, kind, time.Since(start).Round(time.Millisecond))
-			return time.Since(start).Nanoseconds(), ob.Snapshot()
+		ob := obs.New()
+		opts := grid.CheckOptions{
+			Layers: lay.L, Discipline: true, Nodes: lay.Nodes,
+			Workers: workers, TileBytes: ceiling, Observer: ob,
 		}
-
-		if denseEst <= denseCap {
-			ns, m := verify("dense", 0)
-			if m.Get(obs.DenseChecks) == 0 {
-				fatal(fmt.Sprintf("hypercube%d: dense rung did not engage", dim))
-			}
-			denseBytes := (m.Get(obs.CellsAllocated) + 63) / 64 * 8 * m.Get(obs.WorkerCount)
-			records = append(records, Record{
-				Bench: fmt.Sprintf("memceil/hypercube%d/dense", dim),
-				NsOp:  float64(ns), BytesOp: denseBytes, Workers: workers,
-			})
-		} else {
-			fmt.Fprintf(os.Stderr, "memceil/hypercube%d/dense skipped: ~%d MiB working set over the %d MiB cap\n",
-				dim, denseEst>>20, denseCap>>20)
+		start := time.Now()
+		v, err := grid.Verify(nil, lay.Wires, opts)
+		ns := time.Since(start).Nanoseconds()
+		if err != nil {
+			fatal(err)
 		}
-
-		ns, m := verify("tiled", int(denseEst/4))
-		if m.Get(obs.TiledChecks) != 1 {
-			fatal(fmt.Sprintf("hypercube%d: ceiling %d did not engage the tiled rung", dim, denseEst/4))
+		if len(v) > 0 {
+			fatal(v[0])
 		}
+		m := ob.Snapshot()
+		if m.Get(obs.TilesChecked) < 2 {
+			fatal(fmt.Sprintf("hypercube%d: ceiling %d did not split the box into tiles", dim, ceiling))
+		}
+		fmt.Fprintf(os.Stderr, "memceil/hypercube%d/tiled done in %v\n", dim, time.Duration(ns).Round(time.Millisecond))
 		records = append(records, Record{
 			Bench: fmt.Sprintf("memceil/hypercube%d/tiled", dim),
 			NsOp:  float64(ns), BytesOp: m.Get(obs.TileBytesPeak), Workers: workers,
@@ -381,7 +341,7 @@ func observed(buildDim int) []Record {
 	if err != nil {
 		fatal(err)
 	}
-	if v, err := lay.VerifyObserved(nil, workers, 0, ob); err != nil {
+	if v, err := lay.VerifyOpts(nil, grid.CheckOptions{Workers: workers, Observer: ob}); err != nil {
 		fatal(err)
 	} else if len(v) > 0 {
 		fatal(v[0])

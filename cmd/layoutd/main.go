@@ -81,7 +81,7 @@ func main() {
 			cli.Usagef("%v", err)
 		}
 		if memBytes < 0 {
-			cli.Usagef("-verify-mem: the admission clamp must be positive (per-request negatives select the tiled default)")
+			cli.Usagef("-verify-mem: the admission clamp must be positive (per-request zero or negative means no cap)")
 		}
 	}
 

@@ -65,7 +65,7 @@ func main() {
 	list := flag.Bool("list", false, "list the registered families and their parameters")
 	timeout := flag.Duration("timeout", 0, "abort build and verify after this long (0 = no deadline)")
 	maxCells := flag.Int("max-cells", 0, "fail fast if the planned grid exceeds this many cells (0 = unlimited)")
-	verifyMem := flag.String("verify-mem", "", "cap the verifier's occupancy working set (bytes, k/m/g suffixes; negative forces the tiled rung; empty = no cap)")
+	verifyMem := flag.String("verify-mem", "", "cap the verifier's occupancy working set (bytes, k/m/g suffixes; empty = no cap)")
 	counters := flag.Bool("counters", false, "print the observer counter totals after the run, one 'name value' line per counter")
 	tracePath := flag.String("trace", "", "write a Chrome-trace (chrome://tracing) span file of the build and verify phases")
 	flag.Parse()

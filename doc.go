@@ -21,10 +21,12 @@
 //
 // Quick start:
 //
-//	lay, err := mlvlsi.Hypercube(8, mlvlsi.Options{Layers: 8})
+//	opt := mlvlsi.Options{Layers: 8}
+//	lay, err := mlvlsi.Hypercube(8, opt)
 //	if err != nil { ... }
-//	if v := lay.Verify(); len(v) > 0 { ... }   // legality check
-//	fmt.Println(lay.Stats())                   // area, volume, max wire
+//	v, err := mlvlsi.VerifyLayout(lay, opt)   // legality check
+//	if err != nil || len(v) > 0 { ... }
+//	fmt.Println(lay.Stats())                  // area, volume, max wire
 //
 // See EXPERIMENTS.md for the paper-versus-measured results and cmd/paperbench
 // for the harness that regenerates them.

@@ -36,7 +36,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if v := lay.Verify(); len(v) > 0 {
+		if v, err := mlvlsi.VerifyLayout(lay, mlvlsi.Options{}); err != nil {
+			log.Fatal(err)
+		} else if len(v) > 0 {
 			log.Fatalf("L=%d: illegal layout: %v", l, v[0])
 		}
 		fmt.Println(lay.Stats())

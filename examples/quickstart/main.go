@@ -23,7 +23,9 @@ func main() {
 		}
 		// Every layout is machine-checkable: wires are edge-disjoint paths
 		// through the L wiring layers.
-		if v := lay.Verify(); len(v) > 0 {
+		if v, err := mlvlsi.VerifyLayout(lay, mlvlsi.Options{}); err != nil {
+			log.Fatal(err)
+		} else if len(v) > 0 {
 			log.Fatalf("illegal layout: %v", v[0])
 		}
 		s := lay.Stats()

@@ -25,7 +25,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if v := flat.Verify(); len(v) > 0 {
+	if v, err := mlvlsi.VerifyLayout(flat, mlvlsi.Options{}); err != nil {
+		log.Fatal(err)
+	} else if len(v) > 0 {
 		log.Fatalf("flat layout illegal: %v", v[0])
 	}
 	fs := flat.Stats()

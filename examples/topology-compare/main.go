@@ -53,7 +53,9 @@ func main() {
 		if err != nil {
 			log.Fatalf("%s: %v", c.name, err)
 		}
-		if v := lay.Verify(); len(v) > 0 {
+		if v, err := mlvlsi.VerifyLayout(lay, mlvlsi.Options{}); err != nil {
+			log.Fatal(err)
+		} else if len(v) > 0 {
 			log.Fatalf("%s: illegal layout: %v", c.name, v[0])
 		}
 		s := lay.Stats()

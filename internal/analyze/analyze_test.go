@@ -159,9 +159,9 @@ func TestModuleClean(t *testing.T) {
 	}
 }
 
-// TestModuleCoversHotpaths pins the load-bearing annotations: the dense
-// checker core and its feeders must carry the hotpath directive so the
-// 0-alloc invariant stays enforced, not aspirational. Each entry is
+// TestModuleCoversHotpaths pins the load-bearing annotations: the tile
+// walk, its binning pass and their feeders must carry the hotpath directive
+// so the 0-alloc invariant stays enforced, not aspirational. Each entry is
 // "package-path-suffix funcname".
 func TestModuleCoversHotpaths(t *testing.T) {
 	m, err := Load("../..")
@@ -169,17 +169,17 @@ func TestModuleCoversHotpaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]bool{
-		"internal/grid measure":            false, // Wires.measure
-		"internal/grid UnitEdges":          false, // Wire.UnitEdges
-		"internal/grid edgeViolation":      false,
-		"internal/grid checkDense":         false,
-		"internal/grid collectWireDense":   false,
-		"internal/grid checkDenseParallel": false, // includes the shard merge scan
-		"internal/grid index":              false, // occIndexer.index
-		"internal/par AlignedChunks":       false,
-		"internal/core lookup":             false, // trackTable.lookup
-		"internal/core port":               false, // portTable.port
-		"internal/core realize":            false, // realizeCtx.realize
+		"internal/grid measure":       false, // Wires.measure
+		"internal/grid UnitEdges":     false, // Wire.UnitEdges
+		"internal/grid edgeViolation": false,
+		"internal/grid walkTile":      false,
+		"internal/grid tileEdges":     false,
+		"internal/grid binWires":      false,
+		"internal/grid index":         false, // occIndexer.index
+		"internal/grid occGet":        false,
+		"internal/core lookup":        false, // trackTable.lookup
+		"internal/core port":          false, // portTable.port
+		"internal/core realize":       false, // realizeCtx.realize
 	}
 	for _, pkg := range m.Packages {
 		i := strings.LastIndex(pkg.ImportPath, "internal/")

@@ -8,8 +8,8 @@ import (
 )
 
 // hotpathAnalyzer enforces the zero-allocation property of functions marked
-// //mlvlsi:hotpath (the dense checker core, Wires.measure, the occupancy
-// indexer, the pool's chunking). The dense verifier's 35x win over the map
+// //mlvlsi:hotpath (the tile walk and its binning pass, Wires.measure, the
+// occupancy indexer and pool). The bitset verifier's 35x win over the map
 // path is a constant-factor result — exactly the kind the source paper
 // fights for — and one fmt.Sprintf per edge erases it. Inside a marked
 // function (including nested function literals) the analyzer bans:

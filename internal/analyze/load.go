@@ -8,7 +8,7 @@
 //   - verifier output is byte-identical across worker counts, so no map
 //     iteration order may leak into appended or printed results (analyzer
 //     "mapdeterminism");
-//   - the dense checker's legal path allocates nothing, enforced on
+//   - the tile walk's legal path allocates nothing, enforced on
 //     functions annotated //mlvlsi:hotpath (analyzer "hotpath").
 //
 // Two more analyzers guard API structure: "ctxflow" (context-taking

@@ -76,8 +76,8 @@ func ParseInts(flagName, csv string) ([]int, error) {
 // ParseBytes parses a byte-count flag value: a plain integer is bytes, and
 // a k/m/g (or kib/mib/gib) suffix scales by the binary unit, so "64m" is
 // 64 MiB. Negative values pass through unscaled — the verifier's memory
-// knobs use them as "force the tiled rung at its default budget" — and
-// flagName is used in error messages.
+// knobs treat them, like zero, as no ceiling — and flagName is used in
+// error messages.
 func ParseBytes(flagName, s string) (int, error) {
 	t := strings.ToLower(strings.TrimSpace(s))
 	if t == "" {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"mlvlsi/internal/grid"
 	"testing"
 	"testing/quick"
 
@@ -16,7 +17,7 @@ func TestCompactPreservesLegality(t *testing.T) {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
-		if v := lay.Verify(); len(v) > 0 {
+		if v, _ := lay.VerifyOpts(nil, grid.CheckOptions{}); len(v) > 0 {
 			t.Logf("seed %d: %v", seed, v[0])
 			return false
 		}

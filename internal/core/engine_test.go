@@ -1,6 +1,7 @@
 package core
 
 import (
+	"mlvlsi/internal/grid"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -51,7 +52,7 @@ func mustBuild(t *testing.T) func(*layout.Layout, error) *layout.Layout {
 		if err != nil {
 			t.Fatalf("Build: %v", err)
 		}
-		if v := lay.Verify(); len(v) > 0 {
+		if v, _ := lay.VerifyOpts(nil, grid.CheckOptions{}); len(v) > 0 {
 			t.Fatalf("%s: %d violations, first: %v", lay.Name, len(v), v[0])
 		}
 		return lay
@@ -358,7 +359,7 @@ func TestEnginePropertyRandomProducts(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if len(lay.Verify()) > 0 {
+		if v, _ := lay.VerifyOpts(nil, grid.CheckOptions{}); len(v) > 0 {
 			return false
 		}
 		wantWires := k2*len(rowFac.Edges) + k1*len(colFac.Edges)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"mlvlsi/internal/grid"
 	"testing"
 	"testing/quick"
 
@@ -84,7 +85,7 @@ func TestEngineFuzzRandomSpecs(t *testing.T) {
 			t.Logf("seed %d: build error: %v", seed, err)
 			return false
 		}
-		if v := lay.Verify(); len(v) > 0 {
+		if v, _ := lay.VerifyOpts(nil, grid.CheckOptions{}); len(v) > 0 {
 			t.Logf("seed %d: %d violations, first: %v", seed, len(v), v[0])
 			return false
 		}
@@ -135,7 +136,7 @@ func TestEngineSideMonotone(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if v := bigger.Verify(); len(v) > 0 {
+		if v, _ := bigger.VerifyOpts(nil, grid.CheckOptions{}); len(v) > 0 {
 			return false
 		}
 		return bigger.Area() >= lay.Area()

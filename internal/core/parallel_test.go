@@ -1,6 +1,7 @@
 package core
 
 import (
+	"mlvlsi/internal/grid"
 	"reflect"
 	"testing"
 
@@ -23,7 +24,7 @@ func TestRealizeWorkerCountInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := ref.Verify(); len(v) > 0 {
+	if v, _ := ref.VerifyOpts(nil, grid.CheckOptions{}); len(v) > 0 {
 		t.Fatalf("reference layout illegal: %v", v[0])
 	}
 	for _, workers := range []int{0, 2, 4, 7} {

@@ -7,6 +7,7 @@ import (
 	"mlvlsi/internal/extra"
 	"mlvlsi/internal/fold"
 	"mlvlsi/internal/formulas"
+	"mlvlsi/internal/grid"
 	"mlvlsi/internal/layout"
 	"mlvlsi/internal/sim"
 	"mlvlsi/internal/track"
@@ -84,7 +85,7 @@ func E12Baselines() *Table {
 			t.Note("fold failed L=%d: %v", l, err)
 			continue
 		}
-		if v := fold.Verify(folded); len(v) > 0 {
+		if v, _ := fold.VerifyOpts(nil, folded, grid.CheckOptions{}); len(v) > 0 {
 			t.Note("FOLD VERIFY FAILED L=%d: %v", l, v[0])
 		}
 		f := fold.Measure(folded)

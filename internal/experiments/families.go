@@ -10,16 +10,15 @@ import (
 )
 
 // verifyLimit bounds the instance size for full legality verification
-// inside experiments (the verifier hashes every unit wire edge; all
+// inside experiments (the verifier marks every unit wire edge; all
 // constructions are verified exhaustively at moderate sizes in the test
 // suite, so experiments re-verify only the smaller instances).
 const verifyLimit = 1100
 
-// VerifyMemBytes, when non-zero, caps the verifier working set of every
-// experiment re-verification, engaging the tiled streaming rung when the
-// dense bitset would not fit (see Options.VerifyMemBytes at the module
+// VerifyMemBytes, when positive, caps the verifier working set of every
+// experiment re-verification (see Options.VerifyMemBytes at the module
 // root). paperbench's -verify-mem flag sets it before any experiment runs;
-// zero (the default) leaves the dense→map ladder unbudgeted.
+// zero (the default) applies no ceiling.
 var VerifyMemBytes int
 
 // checkedStats verifies the layout when it is small enough and returns its

@@ -1,6 +1,7 @@
 package extra
 
 import (
+	"mlvlsi/internal/grid"
 	"sort"
 	"testing"
 
@@ -15,7 +16,7 @@ func mustBuild(t *testing.T) func(*layout.Layout, error) *layout.Layout {
 		if err != nil {
 			t.Fatalf("build: %v", err)
 		}
-		if v := lay.Verify(); len(v) > 0 {
+		if v, _ := lay.VerifyOpts(nil, grid.CheckOptions{}); len(v) > 0 {
 			t.Fatalf("%s: %d violations, first: %v", lay.Name, len(v), v[0])
 		}
 		return lay

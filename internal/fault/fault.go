@@ -451,12 +451,45 @@ func (inj Injector) Apply(lay *layout.Layout, c Class) (*layout.Layout, Injectio
 	return out, info, nil
 }
 
+// SweepWorkers and SweepCeilings are the grid.Verify configurations
+// Differential covers: every worker count crossed with no memory ceiling
+// (0), a ceiling small enough to shatter a layout into many tiles with
+// conflicts crossing seams, and one roomy enough to change nothing.
+var (
+	SweepWorkers  = []int{1, 2, 8}
+	SweepCeilings = []int{0, 1 << 10, 64 << 20}
+)
+
+// Differential runs grid.Verify on wires under every sweep configuration
+// and returns the map reference's violations (grid.Reference), or an error
+// naming the first configuration whose violation set is not byte-identical
+// to the reference's.
+func Differential(wires []grid.Wire, opts grid.CheckOptions) ([]grid.Violation, error) {
+	want := grid.Reference(wires, opts)
+	for _, workers := range SweepWorkers {
+		for _, ceiling := range SweepCeilings {
+			run := opts
+			run.Workers, run.TileBytes = workers, ceiling
+			got, err := grid.Verify(nil, wires, run)
+			if err != nil {
+				return nil, fmt.Errorf("workers=%d ceiling=%d: %w", workers, ceiling, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				return nil, fmt.Errorf("workers=%d ceiling=%d: Verify diverges from the map reference\nverify:    %v\nreference: %v",
+					workers, ceiling, got, want)
+			}
+		}
+	}
+	return want, nil
+}
+
 // SelfTest corrupts lay with every class (deterministically from seed) and
-// checks that both the serial and the sharded verifier report a violation
-// matching the class's signatures. It returns nil exactly when every
-// corruption is caught by both checkers — the metamorphic property the
+// checks, through Differential, that grid.Verify reproduces the map
+// reference's violation set byte for byte under every sweep configuration
+// and that the set matches the class's signatures. It returns nil exactly
+// when every corruption is caught everywhere — the metamorphic property the
 // chaos sweep asserts for every registry family.
-func SelfTest(lay *layout.Layout, seed uint64, workers int) error {
+func SelfTest(lay *layout.Layout, seed uint64) error {
 	inj := Injector{Seed: seed}
 	opts := grid.CheckOptions{Layers: lay.L, Discipline: true, Nodes: lay.Nodes}
 	for _, c := range Classes() {
@@ -464,44 +497,12 @@ func SelfTest(lay *layout.Layout, seed uint64, workers int) error {
 		if err != nil {
 			return fmt.Errorf("%s: inject on %s: %w", c, lay.Name, err)
 		}
-		if vs := grid.Check(bad.Wires, opts); !c.Detected(vs) {
-			return fmt.Errorf("%s on %s: serial checker missed it (%s; %d violations)", c, lay.Name, info, len(vs))
-		}
-		if vs := grid.CheckParallel(bad.Wires, opts, workers); !c.Detected(vs) {
-			return fmt.Errorf("%s on %s: parallel checker missed it (%s; %d violations)", c, lay.Name, info, len(vs))
-		}
-	}
-	return nil
-}
-
-// SelfTestTiled repeats SelfTest through the tiled streaming rung: for every
-// corruption class the verifier — forced onto the tiled path by tileBytes
-// (negative selects the default per-tile budget; a positive ceiling must be
-// one the dense bitset exceeds, or the ladder falls back to dense and the
-// tiled engine is not exercised) — must both detect the corruption and
-// reproduce the sharded checker's canonical violation set byte for byte at
-// the same worker count, whatever tile geometry the budget induces.
-func SelfTestTiled(lay *layout.Layout, seed uint64, workers, tileBytes int) error {
-	inj := Injector{Seed: seed}
-	base := grid.CheckOptions{Layers: lay.L, Discipline: true, Nodes: lay.Nodes}
-	for _, c := range Classes() {
-		bad, info, err := inj.Apply(lay, c)
+		vs, err := Differential(bad.Wires, opts)
 		if err != nil {
-			return fmt.Errorf("%s: inject on %s: %w", c, lay.Name, err)
+			return fmt.Errorf("%s on %s (%s): %w", c, lay.Name, info, err)
 		}
-		tiled := base
-		tiled.Workers = workers
-		tiled.TileBytes = tileBytes
-		got, err := grid.Verify(nil, bad.Wires, tiled)
-		if err != nil {
-			return fmt.Errorf("%s on %s: tiled verify: %w", c, lay.Name, err)
-		}
-		if !c.Detected(got) {
-			return fmt.Errorf("%s on %s: tiled checker missed it (%s; %d violations)", c, lay.Name, info, len(got))
-		}
-		if want := grid.CheckParallel(bad.Wires, base, workers); !reflect.DeepEqual(got, want) {
-			return fmt.Errorf("%s on %s: tiled/parallel divergence at tileBytes=%d workers=%d (%s)",
-				c, lay.Name, tileBytes, workers, info)
+		if !c.Detected(vs) {
+			return fmt.Errorf("%s on %s: verifier missed it (%s; %d violations)", c, lay.Name, info, len(vs))
 		}
 	}
 	return nil

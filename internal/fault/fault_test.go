@@ -43,8 +43,8 @@ func checkOpts(lay *layout.Layout) grid.CheckOptions {
 
 func TestBaseLayoutsAreClean(t *testing.T) {
 	for _, lay := range baseLayouts(t) {
-		if vs := lay.Verify(); len(vs) != 0 {
-			t.Fatalf("%s: base layout has %d violations: %v", lay.Name, len(vs), vs[0])
+		if vs, err := Differential(lay.Wires, checkOpts(lay)); err != nil || len(vs) != 0 {
+			t.Fatalf("%s: base layout: %v, %d violations", lay.Name, err, len(vs))
 		}
 	}
 }
@@ -58,17 +58,13 @@ func TestEveryClassDetectedByBothCheckers(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s seed=%d on %s: %v", c, seed, lay.Name, err)
 				}
-				serial := grid.Check(bad.Wires, checkOpts(bad))
-				if !c.Detected(serial) {
-					t.Errorf("%s seed=%d on %s: serial checker missed %s (%d violations)",
-						c, seed, lay.Name, info, len(serial))
+				vs, err := Differential(bad.Wires, checkOpts(bad))
+				if err != nil {
+					t.Fatalf("%s seed=%d on %s (%s): %v", c, seed, lay.Name, info, err)
 				}
-				for _, workers := range []int{1, 2, 8} {
-					par := grid.CheckParallel(bad.Wires, checkOpts(bad), workers)
-					if !c.Detected(par) {
-						t.Errorf("%s seed=%d workers=%d on %s: parallel checker missed %s",
-							c, seed, workers, lay.Name, info)
-					}
+				if !c.Detected(vs) {
+					t.Errorf("%s seed=%d on %s: verifier missed %s (%d violations)",
+						c, seed, lay.Name, info, len(vs))
 				}
 			}
 		}
@@ -86,7 +82,7 @@ func TestApplyDoesNotMutateInput(t *testing.T) {
 				t.Fatalf("%s mutated the input layout %s", c, lay.Name)
 			}
 		}
-		if vs := lay.Verify(); len(vs) != 0 {
+		if vs, _ := lay.VerifyOpts(nil, grid.CheckOptions{}); len(vs) != 0 {
 			t.Fatalf("%s: input layout dirty after injections: %v", lay.Name, vs[0])
 		}
 	}
@@ -138,10 +134,8 @@ func TestSeedsCorruptDifferentWires(t *testing.T) {
 
 func TestSelfTest(t *testing.T) {
 	for _, lay := range baseLayouts(t) {
-		for _, workers := range []int{1, 4} {
-			if err := SelfTest(lay, 5, workers); err != nil {
-				t.Errorf("SelfTest(%s, workers=%d): %v", lay.Name, workers, err)
-			}
+		if err := SelfTest(lay, 5); err != nil {
+			t.Errorf("SelfTest(%s): %v", lay.Name, err)
 		}
 	}
 }
@@ -166,12 +160,10 @@ func TestClassStringsAndSignatures(t *testing.T) {
 	}
 }
 
-// FuzzCheckDifferential cross-checks every verifier variant on randomly
-// corrupted layouts: the serial and sharded checkers must agree on the
-// verdict and the violation set for several worker counts, and each of them
-// must be bit-identical between its dense-occupancy core and the forced
-// map-based fallback (DenseLimit < 0). This is the differential oracle both
-// the parallel merge logic and the dense bitset are held to.
+// FuzzCheckDifferential is the differential oracle on randomly corrupted
+// layouts: grid.Verify must return the map reference's violation set byte
+// for byte at every sweep worker count and memory ceiling — one tile, many
+// tiles with claims crossing every seam — and the set must be non-empty.
 func FuzzCheckDifferential(f *testing.F) {
 	f.Add(uint64(0), byte(0))
 	f.Add(uint64(1), byte(3))
@@ -185,67 +177,12 @@ func FuzzCheckDifferential(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		opts := checkOpts(bad)
-		sparseOpts := opts
-		sparseOpts.DenseLimit = -1
-		serial := grid.Check(bad.Wires, opts)
-		if len(serial) == 0 {
-			t.Fatalf("%s: serial checker found nothing (%s)", c, info)
+		vs, err := Differential(bad.Wires, checkOpts(bad))
+		if err != nil {
+			t.Fatalf("%s (%s): %v", c, info, err)
 		}
-		// The dense and map cores run the identical wire walk, so their
-		// violation slices must match element for element, not just as sets.
-		if sparse := grid.Check(bad.Wires, sparseOpts); !reflect.DeepEqual(serial, sparse) {
-			t.Fatalf("%s: serial dense/map divergence for %s\ndense: %v\nmap:   %v",
-				c, info, serial, sparse)
-		}
-		for _, workers := range []int{1, 2, 8} {
-			par := grid.CheckParallel(bad.Wires, opts, workers)
-			if (len(par) == 0) != (len(serial) == 0) {
-				t.Fatalf("%s workers=%d: verdicts diverge (serial %d, parallel %d) for %s",
-					c, workers, len(serial), len(par), info)
-			}
-			if !sameViolations(serial, par) {
-				t.Fatalf("%s workers=%d: violation sets diverge for %s\nserial:   %v\nparallel: %v",
-					c, workers, info, serial, par)
-			}
-			if parSparse := grid.CheckParallel(bad.Wires, sparseOpts, workers); !reflect.DeepEqual(par, parSparse) {
-				t.Fatalf("%s workers=%d: parallel dense/map divergence for %s\ndense: %v\nmap:   %v",
-					c, workers, info, par, parSparse)
-			}
-			// The tiled streaming rung promises the sharded checker's
-			// canonical set byte for byte, whatever the tile geometry: the
-			// default per-tile budget (usually one tile) and a deliberately
-			// tiny ceiling (many tiles, claims crossing every seam).
-			for _, tileBytes := range []int{-1, 1 << 10} {
-				tiled := opts
-				tiled.Workers = workers
-				tiled.TileBytes = tileBytes
-				got, err := grid.Verify(nil, bad.Wires, tiled)
-				if err != nil {
-					t.Fatalf("%s workers=%d tile=%d: %v", c, workers, tileBytes, err)
-				}
-				if !reflect.DeepEqual(got, par) {
-					t.Fatalf("%s workers=%d tile=%d: tiled/parallel divergence for %s\ntiled:    %v\nparallel: %v",
-						c, workers, tileBytes, info, got, par)
-				}
-			}
+		if len(vs) == 0 {
+			t.Fatalf("%s: verifier found nothing (%s)", c, info)
 		}
 	})
-}
-
-func sameViolations(a, b []grid.Violation) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	count := make(map[grid.Violation]int)
-	for _, v := range a {
-		count[v]++
-	}
-	for _, v := range b {
-		if count[v] == 0 {
-			return false
-		}
-		count[v]--
-	}
-	return true
 }

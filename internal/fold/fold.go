@@ -143,7 +143,7 @@ func gutterX(edgeX int) int {
 // VerifyOpts checks a folded layout for rectilinearity, edge-disjointness
 // and the direction discipline. Terminal checks are skipped — folded nodes
 // live on raised active layers, so opts.Nodes is cleared — while the
-// engine, memory-ladder, and instrumentation knobs pass through to
+// fan-out, memory-ceiling, and instrumentation knobs pass through to
 // grid.Verify exactly as Layout.VerifyOpts does for engine-built layouts
 // (including rooting a "verify" span on opts.Observer when opts.Span is
 // nil).
@@ -160,23 +160,6 @@ func VerifyOpts(ctx context.Context, lay *layout.Layout, opts grid.CheckOptions)
 	vs, err := grid.Verify(ctx, lay.Wires, opts)
 	sp.SetAttr("violations", int64(len(vs))).End()
 	return vs, err
-}
-
-// Verify checks a folded layout with the serial engine.
-//
-// Deprecated: equivalent to VerifyOpts with Workers: 1.
-func Verify(lay *layout.Layout) []grid.Violation {
-	vs, _ := VerifyOpts(nil, lay, grid.CheckOptions{Workers: 1})
-	return vs
-}
-
-// VerifyObserved is Verify with the worker fan-out, dense-occupancy
-// threshold, cancellation, and observer exposed.
-//
-// Deprecated: equivalent to VerifyOpts with Workers, DenseLimit, and
-// Observer set.
-func VerifyObserved(ctx context.Context, lay *layout.Layout, workers, denseLimit int, o *obs.Observer) ([]grid.Violation, error) {
-	return VerifyOpts(ctx, lay, grid.CheckOptions{Workers: workers, DenseLimit: denseLimit, Observer: o})
 }
 
 // Stats summarizes a folded layout against its source, the comparison §2.2

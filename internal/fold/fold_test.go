@@ -1,6 +1,7 @@
 package fold
 
 import (
+	"mlvlsi/internal/grid"
 	"testing"
 
 	"mlvlsi/internal/core"
@@ -14,7 +15,7 @@ func buildHypercube2(t *testing.T, n int) *layout.Layout {
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	if v := lay.Verify(); len(v) > 0 {
+	if v, _ := lay.VerifyOpts(nil, grid.CheckOptions{}); len(v) > 0 {
 		t.Fatalf("source layout illegal: %v", v[0])
 	}
 	return lay
@@ -27,7 +28,7 @@ func TestFoldLegality(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Fold L=%d: %v", l, err)
 		}
-		if v := Verify(folded); len(v) > 0 {
+		if v, _ := VerifyOpts(nil, folded, grid.CheckOptions{}); len(v) > 0 {
 			t.Fatalf("folded L=%d illegal: %d violations, first %v", l, len(v), v[0])
 		}
 		if len(folded.Wires) != len(src.Wires) {
@@ -43,7 +44,7 @@ func TestFoldAreaShrinksVolumeDoesNot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := Verify(folded); len(v) > 0 {
+	if v, _ := VerifyOpts(nil, folded, grid.CheckOptions{}); len(v) > 0 {
 		t.Fatalf("illegal: %v", v[0])
 	}
 	f := Measure(folded)
@@ -149,7 +150,7 @@ func TestFoldPropertyRandomLayouts(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d L=%d: %v", seed, l, err)
 			}
-			if v := Verify(folded); len(v) > 0 {
+			if v, _ := VerifyOpts(nil, folded, grid.CheckOptions{}); len(v) > 0 {
 				t.Fatalf("seed %d L=%d: %v", seed, l, v[0])
 			}
 			for i := range folded.Wires {
@@ -177,7 +178,7 @@ func TestFoldVariousSources(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v := Verify(folded); len(v) > 0 {
+		if v, _ := VerifyOpts(nil, folded, grid.CheckOptions{}); len(v) > 0 {
 			t.Fatalf("%s: %v", src.Name, v[0])
 		}
 	}

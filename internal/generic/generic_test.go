@@ -1,6 +1,7 @@
 package generic
 
 import (
+	"mlvlsi/internal/grid"
 	"sort"
 	"testing"
 
@@ -15,7 +16,7 @@ func build(t *testing.T, g *topology.Graph, l int) *layout.Layout {
 	if err != nil {
 		t.Fatalf("%s: %v", g.Name, err)
 	}
-	if v := lay.Verify(); len(v) > 0 {
+	if v, _ := lay.VerifyOpts(nil, grid.CheckOptions{}); len(v) > 0 {
 		t.Fatalf("%s: %d violations, first: %v", lay.Name, len(v), v[0])
 	}
 	return lay
@@ -110,7 +111,7 @@ func TestGenericCustomPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := snake.Verify(); len(v) > 0 {
+	if v, _ := snake.VerifyOpts(nil, grid.CheckOptions{}); len(v) > 0 {
 		t.Fatal(v[0])
 	}
 	if snake.MaxWireLength() > rowMajor.MaxWireLength() {
@@ -172,7 +173,7 @@ func TestGenericFuzzRandomGraphs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d (n=%d l=%d): %v", trial, n, l, err)
 		}
-		if v := lay.Verify(); len(v) > 0 {
+		if v, _ := lay.VerifyOpts(nil, grid.CheckOptions{}); len(v) > 0 {
 			t.Fatalf("trial %d (n=%d l=%d): %v", trial, n, l, v[0])
 		}
 		if len(lay.Wires) != len(g.Links) {
@@ -192,7 +193,7 @@ func TestGenericParallelLinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := lay.Verify(); len(v) > 0 {
+	if v, _ := lay.VerifyOpts(nil, grid.CheckOptions{}); len(v) > 0 {
 		t.Fatal(v[0])
 	}
 	if len(lay.Wires) != 4 {
@@ -209,7 +210,7 @@ func TestGenericMacroStar(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v := lay.Verify(); len(v) > 0 {
+		if v, _ := lay.VerifyOpts(nil, grid.CheckOptions{}); len(v) > 0 {
 			t.Fatalf("L=%d: %v", l, v[0])
 		}
 		sameGraph(t, lay, g)

@@ -22,38 +22,20 @@ type CheckOptions struct {
 	// The verifier then checks that every wire with endpoint IDs >= 0
 	// starts and ends at Z = 0 inside the claimed endpoint node rectangles.
 	Nodes []Rect
-	// DenseLimit caps the dense occupancy grid: the checkers use the flat
-	// dense store only while the wire set's bounding-box cell count
-	// (3·W·H·D unit-edge slots) stays at or below the limit. Zero picks an
-	// adaptive default that admits the dense path whenever its bitset is no
-	// larger than the hash map it replaces (see defaultDenseCells); a
-	// negative value disables the dense path entirely, forcing the
-	// map-based reference implementation. Results are identical either way.
-	DenseLimit int
-	// Workers selects the verifier engine: 1 runs the serial checker
-	// (Check's early-exit semantics), any other value runs the sharded
-	// parallel checker with that fan-out (0 meaning GOMAXPROCS). Results
-	// differ between the two engines only in the documented corner — on
-	// layouts with several interacting violations the serial walk stops
-	// recording a violating wire's remaining edges — and legality verdicts
-	// always agree.
+	// Workers bounds the fan-out of the tile walk (0 means GOMAXPROCS).
+	// The violation set is byte-identical for every value, 1 included.
 	Workers int
-	// TileBytes is the verifier's memory ceiling in bytes, selecting the
-	// rung of the dense→tiled→map ladder. Zero imposes no ceiling (the
-	// dense→map choice is DenseLimit's alone, exactly the pre-ladder
-	// behavior). A positive value caps the occupancy working set: the dense
-	// bitset is used only when every shard's copy fits under the ceiling
-	// together; otherwise the box is partitioned into tiles whose pooled
-	// bitsets fit TileBytes/workers each and verified tile by tile (see
-	// Tiling), falling back to the hash map only when tiling itself is
-	// infeasible (empty box, unpackable coordinates, or a degenerate
-	// partition of more than maxTiles tiles). A negative value forces the
-	// tiled rung with the default per-tile budget, which is what the
-	// differential tests use. The tiled rung always produces the parallel
-	// checker's canonical violation set, for every worker count.
+	// TileBytes is the verifier's memory ceiling in bytes. Verify partitions
+	// the wire set's bounding box into planar tiles whose pooled occupancy
+	// bitsets fit a per-tile budget of 1 MiB (see Tiling); a positive
+	// TileBytes caps that budget at TileBytes/workers, so the bitsets in
+	// flight together stay under the ceiling. Zero or a negative value
+	// imposes no ceiling, and the partition then does not depend on
+	// Workers. A layout whose box fits one tile is verified by a single
+	// bitset walk with no border reconciliation.
 	TileBytes int
-	// Span, when non-nil, is the parent span the checkers hang their phase
-	// spans off (measure, walk, merge, resolve); counters go to the span's
+	// Span, when non-nil, is the parent span the verifier hangs its phase
+	// spans off (measure, bin, walk, merge); counters go to the span's
 	// observer. Nil disables instrumentation. Either way the per-edge hot
 	// loops are untouched: instrumentation happens at phase granularity on
 	// the coordinator path, using aggregates the check computes anyway, so
@@ -110,13 +92,13 @@ const (
 	ReasonTerminalOutsideNode
 	// ReasonNodeInterior: a planar run passes through the interior of a
 	// foreign node rectangle (Thompson-strict clearance, CheckClearance).
-	// Only the opt-in CheckClearance emits it — Check/CheckParallel never do
-	// — so the chaos sweep, which drives the standard checkers, cannot
-	// observe it and no fault class claims it.
+	// Only the opt-in CheckClearance emits it — Verify never does — so the
+	// chaos sweep, which drives Verify, cannot observe it and no fault class
+	// claims it.
 	ReasonNodeInterior //mlvlsi:allow violationcode (clearance-only; outside the chaos sweep)
 )
 
-// A Violation describes one legality failure found by Check. The struct is
+// A Violation describes one legality failure found by Verify. The struct is
 // comparable and carries no strings; messages are formatted on demand.
 type Violation struct {
 	WireID  int
@@ -202,7 +184,7 @@ func (w *Wire) structural() (Violation, bool) {
 
 // edgeViolation applies the per-edge layer-range and discipline checks to one
 // unit edge, returning the violation (if any). It allocates nothing and is
-// shared by every checker variant.
+// shared by the tile walk and the map reference.
 //
 //mlvlsi:hotpath
 func edgeViolation(w *Wire, low Point, axis Axis, opts *CheckOptions) (Violation, bool) {
@@ -233,22 +215,28 @@ func edgeViolation(w *Wire, low Point, axis Axis, opts *CheckOptions) (Violation
 	return Violation{}, false
 }
 
-// Verify is the single verifier entrypoint: it checks that a set of wires
-// forms a legal multilayer layout — every wire is a well-formed rectilinear
-// path, no two wires share a unit grid edge (the multilayer grid model
-// requires edge-disjoint paths), the direction discipline holds if
-// requested, all geometry stays within the wiring layers, and wire
-// endpoints terminate on their nodes. It returns all violations found (nil
-// means the layout is legal), and a nil slice plus an error wrapping
-// par.ErrCanceled once ctx (which may be nil, meaning no cancellation) is
-// done.
+// Verify is the verifier: it checks that a set of wires forms a legal
+// multilayer layout — every wire is a well-formed rectilinear path, no two
+// wires share a unit grid edge (the multilayer grid model requires
+// edge-disjoint paths), the direction discipline holds if requested, all
+// geometry stays within the wiring layers, and wire endpoints terminate on
+// their nodes. It returns all violations found (nil means the layout is
+// legal), and a nil slice plus an error wrapping par.ErrCanceled once ctx
+// (which may be nil, meaning no cancellation) is done.
 //
 // The check is exact, not sampled: every unit grid edge of every wire is
-// recorded. Everything else — serial vs parallel engine (Workers), the
-// dense→tiled→map occupancy ladder (TileBytes, DenseLimit), and
-// instrumentation (Span, Observer) — is selected by the options struct; the
-// deprecated Check/CheckCtx/CheckParallel/CheckParallelCtx names are thin
-// wrappers over the same cores.
+// recorded. Verify partitions the wire set's bounding box into tiles (see
+// CheckOptions.TileBytes and Tiling) and walks them with pooled occupancy
+// bitsets on the par pool, reconciling the edges that straddle tile seams
+// in a final pass. Only a box the tiling cannot partition — coordinates
+// that do not pack into 64 bits, or more than maxTiles tiles — is checked
+// by Reference's map instead. Either way the result is the canonical
+// violation set, byte-identical for every Workers and TileBytes value:
+// violations ordered by wire (slice order) and, within a wire, by path
+// position; a wire's walk stops only at a layer-range or discipline
+// violation; the first claimant of an edge in slice order owns it and every
+// later claimant is charged; and each wire reports at most one walk
+// violation.
 func Verify(ctx context.Context, wires []Wire, opts CheckOptions) ([]Violation, error) {
 	if err := par.Canceled(ctx); err != nil {
 		return nil, err
@@ -256,68 +244,43 @@ func Verify(ctx context.Context, wires []Wire, opts CheckOptions) ([]Violation, 
 	if len(wires) == 0 {
 		return nil, nil
 	}
-	if opts.TileBytes != 0 {
-		if vs, err, handled := verifyBudgeted(ctx, wires, opts); handled {
-			return vs, err
-		}
-		// The ceiling admits the full dense bitset (or the box is empty):
-		// fall through to the unbudgeted engines.
+	workers := par.Workers(opts.Workers)
+	ob := opts.observer()
+	ob.Set(obs.WorkerCount, int64(workers))
+	ms := opts.Span.Child("measure")
+	box, total := parMeasure(wires, workers)
+	ms.End()
+	ob.Add(obs.UnitEdgesChecked, int64(total))
+	ob.Add(obs.TiledChecks, 1)
+	tl, enc, ok := newTilingFromBox(box, tileBudget(opts.TileBytes, workers))
+	if !ok {
+		ob.Add(obs.SparseChecks, 1)
+		ws := opts.Span.Child("walk")
+		vs, err := checkMap(ctx, wires, &opts, total)
+		ws.End()
+		return vs, err
 	}
-	if opts.Workers == 1 {
-		opts.observer().Set(obs.WorkerCount, 1)
-		return verifySerial(ctx, wires, opts)
+	if tl.Tiles() == 1 {
+		ob.Add(obs.DenseChecks, 1)
 	}
-	return verifyParallel(ctx, wires, opts)
+	return checkTiled(ctx, wires, opts, tl, enc, workers, nil)
 }
 
-// Check verifies the wire set with the serial engine and no memory ceiling.
-//
-// Deprecated: equivalent to Verify with Workers: 1; kept as a wrapper for
-// existing callers and for the serial half of the differential tests.
-func Check(wires []Wire, opts CheckOptions) []Violation {
-	vs, _ := CheckCtx(nil, wires, opts)
+// Reference is the map-based reference checker: one serial pass in slice
+// order that hashes every unit edge into a map keyed by (lower endpoint,
+// axis). It handles arbitrary geometry at hashing cost per edge and returns
+// Verify's canonical violation set; Verify runs it only on boxes the tiling
+// cannot partition, and the differential tests compare the tiled engine
+// against it.
+func Reference(wires []Wire, opts CheckOptions) []Violation {
+	vs, _ := checkMap(nil, wires, &opts, 0)
 	return vs
 }
 
-// CheckCtx is Check with cooperative cancellation.
-//
-// Deprecated: equivalent to Verify with Workers: 1.
-func CheckCtx(ctx context.Context, wires []Wire, opts CheckOptions) ([]Violation, error) {
-	opts.Workers = 1
-	return Verify(ctx, wires, opts)
-}
-
-// verifySerial is the serial core behind Verify with Workers == 1: one pass
-// in wire order with the early-exit semantics the package's differential
-// tests pin (a wire's walk stops at its first violation).
-func verifySerial(ctx context.Context, wires []Wire, opts CheckOptions) ([]Violation, error) {
-	ms := opts.Span.Child("measure")
-	box, total := Wires(wires).measure()
-	ms.End()
-	ob := opts.observer()
-	ob.Add(obs.UnitEdgesChecked, int64(total))
-	wk := opts.Span.Child("walk")
-	if ix, ok := newOccIndexer(box, opts.DenseLimit, total); ok {
-		ob.Add(obs.DenseChecks, 1)
-		ob.Add(obs.CellsAllocated, int64(ix.cells))
-		vs, err := checkDense(ctx, wires, opts, ix)
-		wk.End()
-		return vs, err
-	}
-	ob.Add(obs.SparseChecks, 1)
-	vs, err := checkSparse(ctx, wires, opts, total)
-	wk.End()
-	return vs, err
-}
-
-// checkSparse is the retained map-based reference implementation: every unit
-// edge is hashed into a map keyed by (lower endpoint, axis). It handles
-// arbitrary geometry — unbounded coordinates, adversarially sparse wire sets
-// — at hashing cost per edge.
-func checkSparse(ctx context.Context, wires []Wire, opts CheckOptions, total int) ([]Violation, error) {
+// checkMap is Reference with cooperative cancellation and a map size hint.
+func checkMap(ctx context.Context, wires []Wire, opts *CheckOptions, sizeHint int) ([]Violation, error) {
 	var violations []Violation
-	seen := make(map[edgeKey]int, total)
-
+	owner := make(map[edgeKey]int, sizeHint)
 	for wi := range wires {
 		if ctx != nil && wi%ctxStride == 0 {
 			if err := par.Canceled(ctx); err != nil {
@@ -329,23 +292,26 @@ func checkSparse(ctx context.Context, wires []Wire, opts CheckOptions, total int
 			violations = append(violations, v)
 			continue
 		}
+		reported := false
 		w.UnitEdges(func(low Point, axis Axis) bool {
-			if v, bad := edgeViolation(w, low, axis, &opts); bad {
-				violations = append(violations, v)
+			if v, bad := edgeViolation(w, low, axis, opts); bad {
+				if !reported {
+					violations = append(violations, v)
+				}
 				return false
 			}
 			key := edgeKey{low, axis}
-			if other, dup := seen[key]; dup {
+			if first, dup := owner[key]; !dup {
+				owner[key] = w.ID
+			} else if !reported {
+				reported = true
 				violations = append(violations, Violation{
-					WireID: w.ID, OtherID: other, Where: low,
+					WireID: w.ID, OtherID: first, Where: low,
 					Code: ReasonSharedEdge, EdgeAxis: axis,
 				})
-				return false
 			}
-			seen[key] = w.ID
 			return true
 		})
-
 		checkTerminals(w, opts.Nodes, &violations)
 	}
 	return violations, nil

@@ -156,9 +156,9 @@ func (ws Wires) Bounds() BoundingBox {
 
 // measure walks every path vertex exactly once, returning the vertex
 // bounding box together with the total unit-edge count (the sum of wire
-// lengths). The checkers use the box to size the dense occupancy grid and
-// the count to pre-size the sparse fallback's map, so neither needs a
-// second pass over the geometry.
+// lengths). Verify uses the box to partition the occupancy tiles and the
+// count to pre-size the map reference's table, so neither needs a second
+// pass over the geometry.
 //
 //mlvlsi:hotpath
 func (ws Wires) measure() (BoundingBox, int) {

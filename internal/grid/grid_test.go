@@ -1,12 +1,44 @@
 package grid
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
 
 func wire(id int, pts ...Point) Wire {
 	return Wire{ID: id, U: -1, V: -1, Path: pts}
+}
+
+// sweepWorkers and sweepCeilings are the Verify configurations every
+// differential test covers: the violation set must be byte-identical to
+// Reference's for each combination (a ceiling of 0 means none).
+var (
+	sweepWorkers  = []int{1, 2, 8}
+	sweepCeilings = []int{0, 1 << 10, 64 << 20}
+)
+
+// verifyAll runs Verify under every sweep configuration, fails the test
+// unless each result equals Reference byte for byte, and returns the
+// reference violations.
+func verifyAll(t testing.TB, wires []Wire, opts CheckOptions) []Violation {
+	t.Helper()
+	want := Reference(wires, opts)
+	for _, workers := range sweepWorkers {
+		for _, ceiling := range sweepCeilings {
+			run := opts
+			run.Workers, run.TileBytes = workers, ceiling
+			got, err := Verify(nil, wires, run)
+			if err != nil {
+				t.Fatalf("workers=%d ceiling=%d: %v", workers, ceiling, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("workers=%d ceiling=%d: Verify diverges from Reference\nverify:    %v\nreference: %v",
+					workers, ceiling, got, want)
+			}
+		}
+	}
+	return want
 }
 
 func TestWireValidate(t *testing.T) {
@@ -80,7 +112,7 @@ func TestWireUnitEdgesEarlyStop(t *testing.T) {
 func TestCheckDetectsOverlap(t *testing.T) {
 	a := wire(0, Point{0, 0, 1}, Point{10, 0, 1})
 	b := wire(1, Point{5, 0, 1}, Point{7, 0, 1})
-	v := Check([]Wire{a, b}, CheckOptions{})
+	v := verifyAll(t, []Wire{a, b}, CheckOptions{})
 	if len(v) == 0 {
 		t.Fatal("overlapping wires not detected")
 	}
@@ -93,14 +125,14 @@ func TestCheckCrossingIsLegal(t *testing.T) {
 	// Two wires crossing at a point (different axes) share no unit edge.
 	a := wire(0, Point{0, 5, 1}, Point{10, 5, 1})
 	b := wire(1, Point{5, 0, 2}, Point{5, 10, 2})
-	if v := Check([]Wire{a, b}, CheckOptions{}); len(v) != 0 {
+	if v := verifyAll(t, []Wire{a, b}, CheckOptions{}); len(v) != 0 {
 		t.Errorf("crossing wires flagged: %v", v)
 	}
 	// Even on the same layer, an x-run and a y-run through the same point
 	// are edge-disjoint (knock-knee-free crossing).
 	c := wire(2, Point{20, 5, 1}, Point{30, 5, 1})
 	d := wire(3, Point{25, 0, 1}, Point{25, 10, 1})
-	if v := Check([]Wire{c, d}, CheckOptions{}); len(v) != 0 {
+	if v := verifyAll(t, []Wire{c, d}, CheckOptions{}); len(v) != 0 {
 		t.Errorf("same-layer crossing flagged: %v", v)
 	}
 }
@@ -109,7 +141,7 @@ func TestCheckTouchingEndpointsLegal(t *testing.T) {
 	// Wires meeting head-to-tail share a vertex but no unit edge.
 	a := wire(0, Point{0, 0, 1}, Point{5, 0, 1})
 	b := wire(1, Point{5, 0, 1}, Point{9, 0, 1})
-	if v := Check([]Wire{a, b}, CheckOptions{}); len(v) != 0 {
+	if v := verifyAll(t, []Wire{a, b}, CheckOptions{}); len(v) != 0 {
 		t.Errorf("touching wires flagged: %v", v)
 	}
 }
@@ -118,13 +150,13 @@ func TestCheckDiscipline(t *testing.T) {
 	bad := []Wire{
 		wire(0, Point{0, 0, 2}, Point{4, 0, 2}), // x-run on even layer
 	}
-	if v := Check(bad, CheckOptions{Discipline: true}); len(v) == 0 {
+	if v := verifyAll(t, bad, CheckOptions{Discipline: true}); len(v) == 0 {
 		t.Error("x-run on even layer not flagged under discipline")
 	}
 	bad2 := []Wire{
 		wire(0, Point{0, 0, 1}, Point{0, 4, 1}), // y-run on odd layer
 	}
-	if v := Check(bad2, CheckOptions{Discipline: true}); len(v) == 0 {
+	if v := verifyAll(t, bad2, CheckOptions{Discipline: true}); len(v) == 0 {
 		t.Error("y-run on odd layer not flagged under discipline")
 	}
 	good := []Wire{
@@ -134,17 +166,17 @@ func TestCheckDiscipline(t *testing.T) {
 		wire(3, Point{2, 0, 0}, Point{6, 0, 0}), // active layer runs are exempt
 		wire(4, Point{2, 1, 0}, Point{2, 6, 0}),
 	}
-	if v := Check(good, CheckOptions{Discipline: true}); len(v) != 0 {
+	if v := verifyAll(t, good, CheckOptions{Discipline: true}); len(v) != 0 {
 		t.Errorf("legal disciplined wires flagged: %v", v)
 	}
 }
 
 func TestCheckLayerRange(t *testing.T) {
 	w := []Wire{wire(0, Point{0, 0, 0}, Point{0, 0, 5})}
-	if v := Check(w, CheckOptions{Layers: 4}); len(v) == 0 {
+	if v := verifyAll(t, w, CheckOptions{Layers: 4}); len(v) == 0 {
 		t.Error("via above top layer not flagged")
 	}
-	if v := Check(w, CheckOptions{Layers: 5}); len(v) != 0 {
+	if v := verifyAll(t, w, CheckOptions{Layers: 5}); len(v) != 0 {
 		t.Errorf("via within range flagged: %v", v)
 	}
 }
@@ -154,19 +186,19 @@ func TestCheckTerminals(t *testing.T) {
 	good := Wire{ID: 0, U: 0, V: 1, Path: []Point{
 		{1, 2, 0}, {1, 2, 1}, {11, 2, 1}, {11, 2, 0},
 	}}
-	if v := Check([]Wire{good}, CheckOptions{Nodes: nodes}); len(v) != 0 {
+	if v := verifyAll(t, []Wire{good}, CheckOptions{Nodes: nodes}); len(v) != 0 {
 		t.Errorf("good terminal wire flagged: %v", v)
 	}
 	offNode := Wire{ID: 1, U: 0, V: 1, Path: []Point{
 		{5, 5, 0}, {5, 5, 1}, {11, 5, 1}, {11, 5, 0}, {11, 2, 0},
 	}}
-	if v := Check([]Wire{offNode}, CheckOptions{Nodes: nodes}); len(v) == 0 {
+	if v := verifyAll(t, []Wire{offNode}, CheckOptions{Nodes: nodes}); len(v) == 0 {
 		t.Error("terminal outside node rectangle not flagged")
 	}
 	notActive := Wire{ID: 2, U: 0, V: 1, Path: []Point{
 		{1, 2, 1}, {11, 2, 1},
 	}}
-	if v := Check([]Wire{notActive}, CheckOptions{Nodes: nodes}); len(v) == 0 {
+	if v := verifyAll(t, []Wire{notActive}, CheckOptions{Nodes: nodes}); len(v) == 0 {
 		t.Error("terminal off the active layer not flagged")
 	}
 }
@@ -223,7 +255,7 @@ func TestWirePropertyLengthMatchesUnitEdges(t *testing.T) {
 	}
 }
 
-// Property: Check never reports violations for a set of wires on pairwise
+// Property: Verify never reports violations for a set of wires on pairwise
 // distinct layers that each stay within their own layer.
 func TestCheckPropertyDisjointLayersLegal(t *testing.T) {
 	f := func(seed int64) bool {
@@ -233,7 +265,7 @@ func TestCheckPropertyDisjointLayersLegal(t *testing.T) {
 			w.ID = i
 			wires = append(wires, w)
 		}
-		return len(Check(wires, CheckOptions{})) == 0
+		return len(verifyAll(t, wires, CheckOptions{})) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

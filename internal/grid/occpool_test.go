@@ -11,8 +11,8 @@ import (
 )
 
 // fuseCtx is a context that reports itself canceled starting with its
-// n-th Err poll, letting a test fail the dense walk deterministically in
-// the middle of a verify (the checkers poll every ctxStride wires).
+// n-th Err poll, letting a test fail the tile walk deterministically in
+// the middle of a verify (the verifier polls every ctxStride wires).
 type fuseCtx struct {
 	polls, fuse int
 }
@@ -30,10 +30,10 @@ func (c *fuseCtx) Deadline() (deadline time.Time, ok bool) { return }
 func (c *fuseCtx) Value(key any) any                       { return nil }
 
 // TestOccPoolRefillsAfterMidVerifyFailure pins the pooled-bitset leak
-// contract: checkDense must return its occupancy buffer to the pool on
-// every exit, including the cancellation error return in the middle of
-// the wire walk. A leak would make each canceled check allocate a fresh
-// bitset; with the pool refilling, a warm steady state allocates none.
+// contract: the tile walk must return its occupancy buffer to the pool on
+// every exit, including a cancellation in the middle of walking a tile. A
+// leak would make each canceled check allocate a fresh bitset; with the
+// pool refilling, a warm steady state allocates none.
 func TestOccPoolRefillsAfterMidVerifyFailure(t *testing.T) {
 	// The pool survives GC only probabilistically; switch GC off so a
 	// background collection cannot empty it mid-assertion.
@@ -45,23 +45,28 @@ func TestOccPoolRefillsAfterMidVerifyFailure(t *testing.T) {
 	}
 	defer func() { occPool.New = nil }()
 
-	// Enough wires for two context polls: the first admits the walk, the
-	// second (at wire ctxStride) trips the fuse mid-verify.
+	// One tile of 2*ctxStride wires, so the tile walk polls the context
+	// twice. The last poll of a whole check is the one after the walk; the
+	// one before it is the walk's second poll, mid-tile.
 	wires := make([]Wire, 2*ctxStride)
 	for i := range wires {
 		wires[i] = Wire{ID: i, U: -1, V: -1, Path: []Point{{0, i, 1}, {4, i, 1}}}
 	}
-	box, total := Wires(wires).measure()
-	ix, ok := newOccIndexer(box, 0, total)
-	if !ok {
-		t.Fatal("wire set unexpectedly rejected by the dense path")
+	opts := CheckOptions{Workers: 1}
+	if tl, ok := NewTiling(wires, 0, 1); !ok || tl.Tiles() != 1 {
+		t.Fatalf("wire set should fit one tile, got %+v (ok %v)", tl, ok)
 	}
+	dry := &fuseCtx{fuse: 1 << 30}
+	if vs, err := Verify(dry, wires, opts); err != nil || vs != nil {
+		t.Fatalf("legal layout: %v %v", vs, err)
+	}
+	fuse := dry.polls - 1
 
 	run := func() {
 		t.Helper()
-		vs, err := checkDense(&fuseCtx{fuse: 2}, wires, CheckOptions{}, ix)
+		vs, err := Verify(&fuseCtx{fuse: fuse}, wires, opts)
 		if !errors.Is(err, par.ErrCanceled) {
-			t.Fatalf("checkDense error = %v, want wrapping par.ErrCanceled", err)
+			t.Fatalf("Verify error = %v, want wrapping par.ErrCanceled", err)
 		}
 		if vs != nil {
 			t.Fatalf("canceled check returned violations: %v", vs)

@@ -1,92 +1,34 @@
 package grid
 
-import (
-	"context"
-	"sync"
+import "sync"
 
-	"mlvlsi/internal/par"
-)
+// The occupancy bitset is what makes the tile walk cheap on the inputs
+// Thompson-model layouts actually produce: a tile is a compact 3-D box whose
+// unit-edge slots can be addressed by a flat index. Each slot is one bit in
+// a pooled []uint64, so the legal path does a multiply-add and a
+// test-and-set per edge instead of hashing a 32-byte struct key — and
+// allocates nothing in steady state. Owner identity (which wire claimed an
+// edge first) is not stored at all; it is recovered by a deterministic
+// replay only when a collision is found, which keeps the happy path at one
+// bit per slot.
 
-// The dense occupancy grid replaces the checkers' hash maps on the inputs
-// Thompson-model layouts actually produce: a compact 3-D bounding box whose
-// unit-edge slots can be addressed by a flat index. Each slot is one bit in a
-// pooled []uint64, so the legal path does a multiply-add and a test-and-set
-// per edge instead of hashing a 32-byte struct key — and allocates nothing in
-// steady state. Owner identity (which wire claimed an edge first) is not
-// stored at all; it is recovered by a deterministic replay pass only when a
-// collision is found, which keeps the happy path at one bit per slot.
-
-// occIndexer maps a unit edge (lower endpoint + axis) inside a bounding box
-// to a flat slot index: 3*(((z-minZ)*h + (y-minY))*w + (x-minX)) + axis.
-// Every unit edge of a wire set lies inside the set's vertex bounding box by
-// construction, so lookups need no range checks.
+// occIndexer maps a unit edge (lower endpoint + axis) inside a box to a flat
+// slot index: 3*(((z-minZ)*h + (y-minY))*w + (x-minX)) + axis. The tile
+// walk only indexes edges whose lower endpoint lies in the tile, so lookups
+// need no range checks.
 type occIndexer struct {
 	minX, minY, minZ int
 	w, h             int // lattice points per planar axis (extent + 1)
 	cells            int // 3 * w * h * d: total unit-edge slots
 }
 
-// defaultDenseSlack is the flat allowance added to the adaptive dense
-// threshold so small wire sets always take the dense path: 1<<22 slots is a
-// 512 KiB bitset.
-const defaultDenseSlack = 1 << 22
-
-// defaultDenseCells is the adaptive dense budget for a wire set with the
-// given total unit-edge count: at 128 slots per edge the bitset (128 bits =
-// 16 bytes per edge) stays no larger than the ~50-byte-per-entry hash map it
-// replaces, so admitting the dense path can only reduce memory.
-func defaultDenseCells(total int) int {
-	return 128*total + defaultDenseSlack
-}
-
-// newOccIndexer decides whether the wire set with the given vertex bounding
-// box and total edge count is dense enough for the flat occupancy grid (see
-// CheckOptions.DenseLimit) and, if so, builds the indexer.
-func newOccIndexer(box BoundingBox, limit, total int) (occIndexer, bool) {
-	if box.Empty() || limit < 0 {
-		return occIndexer{}, false
-	}
-	budget := limit
-	if budget == 0 {
-		budget = defaultDenseCells(total)
-	}
-	w := box.MaxX - box.MinX + 1
-	h := box.MaxY - box.MinY + 1
-	d := box.MaxZ - box.MinZ + 1
-	// Overflow-safe 3*w*h*d: reject stepwise against the budget, which always
-	// fits an int.
-	cells := 3
-	for _, extent := range [...]int{w, h, d} {
-		if extent > budget/cells {
-			return occIndexer{}, false
-		}
-		cells *= extent
-	}
-	return occIndexer{
-		minX: box.MinX, minY: box.MinY, minZ: box.MinZ,
-		w: w, h: h, cells: cells,
-	}, true
-}
-
-// index is the dense checker's per-edge multiply-add; it must stay
-// allocation- and call-free.
+// index is the tile walk's per-edge multiply-add; it must stay allocation-
+// and call-free.
 //
 //mlvlsi:hotpath
 func (ix occIndexer) index(low Point, axis Axis) int {
 	return 3*(((low.Z-ix.minZ)*ix.h+(low.Y-ix.minY))*ix.w+(low.X-ix.minX)) + int(axis)
 }
-
-// unindex recovers the edge identified by a flat slot index.
-func (ix occIndexer) unindex(idx int) (Point, Axis) {
-	axis := Axis(idx % 3)
-	rest := idx / 3
-	x := rest%ix.w + ix.minX
-	rest /= ix.w
-	return Point{X: x, Y: rest%ix.h + ix.minY, Z: rest/ix.h + ix.minZ}, axis
-}
-
-// words returns the size of the occupancy bitset in 64-bit words.
-func (ix occIndexer) words() int { return (ix.cells + 63) / 64 }
 
 // occBuf is a pooled occupancy bitset. Pooling the wrapper struct (not the
 // slice) keeps Get/Put free of interface-boxing allocations, so repeated
@@ -116,103 +58,3 @@ func occGet(words int) *occBuf {
 }
 
 func occPut(b *occBuf) { occPool.Put(b) }
-
-// checkDense is Check's dense-occupancy core. It mirrors checkSparse exactly
-// — same wire order, same early exits, same violations — with the edge map
-// replaced by a bitset test-and-set. Shared-edge violations found here lack
-// the owning wire's identity (the bitset stores presence, not owners); when
-// any occur, resolveOwners replays the walk to fill in OtherID.
-//
-//mlvlsi:hotpath
-func checkDense(ctx context.Context, wires []Wire, opts CheckOptions, ix occIndexer) ([]Violation, error) {
-	buf := occGet(ix.words())
-	defer occPut(buf)
-	bits := buf.bits
-	var violations []Violation
-	collided := false
-
-	for wi := range wires {
-		if ctx != nil && wi%ctxStride == 0 {
-			if err := par.Canceled(ctx); err != nil {
-				return nil, err
-			}
-		}
-		w := &wires[wi]
-		if v, bad := w.structural(); bad {
-			violations = append(violations, v)
-			continue
-		}
-		w.UnitEdges(func(low Point, axis Axis) bool {
-			if v, bad := edgeViolation(w, low, axis, &opts); bad {
-				violations = append(violations, v)
-				return false
-			}
-			idx := ix.index(low, axis)
-			word, mask := idx>>6, uint64(1)<<(idx&63)
-			if bits[word]&mask != 0 {
-				collided = true
-				violations = append(violations, Violation{
-					WireID: w.ID, OtherID: -1, Where: low,
-					Code: ReasonSharedEdge, EdgeAxis: axis,
-				})
-				return false
-			}
-			bits[word] |= mask
-			return true
-		})
-
-		checkTerminals(w, opts.Nodes, &violations)
-	}
-	if collided {
-		resolveOwners(wires, opts, ix, bits, violations)
-	}
-	return violations, nil
-}
-
-// resolveOwners fills in the OtherID of every shared-edge violation by
-// replaying the serial walk. The replay repeats the first pass bit for bit —
-// same wire order, same structural skips, same early exits at edge
-// violations and at already-set bits — so the first wire to set a contested
-// bit in the replay is exactly the wire that owned it in the first pass.
-// Only contested slots pay for owner storage (a small map), and the replay
-// stops as soon as every contested slot has found its owner.
-func resolveOwners(wires []Wire, opts CheckOptions, ix occIndexer, bits []uint64, violations []Violation) {
-	owners := make(map[int]int)
-	for i := range violations {
-		if violations[i].Code == ReasonSharedEdge && violations[i].OtherID < 0 {
-			owners[ix.index(violations[i].Where, violations[i].EdgeAxis)] = -1
-		}
-	}
-	clear(bits)
-	remaining := len(owners)
-	for wi := range wires {
-		if remaining == 0 {
-			break
-		}
-		w := &wires[wi]
-		if _, bad := w.structural(); bad {
-			continue
-		}
-		w.UnitEdges(func(low Point, axis Axis) bool {
-			if _, bad := edgeViolation(w, low, axis, &opts); bad {
-				return false
-			}
-			idx := ix.index(low, axis)
-			word, mask := idx>>6, uint64(1)<<(idx&63)
-			if bits[word]&mask != 0 {
-				return false
-			}
-			bits[word] |= mask
-			if o, contested := owners[idx]; contested && o < 0 {
-				owners[idx] = w.ID
-				remaining--
-			}
-			return true
-		})
-	}
-	for i := range violations {
-		if violations[i].Code == ReasonSharedEdge && violations[i].OtherID < 0 {
-			violations[i].OtherID = owners[ix.index(violations[i].Where, violations[i].EdgeAxis)]
-		}
-	}
-}

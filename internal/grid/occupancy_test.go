@@ -1,9 +1,6 @@
 package grid
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 // occBox builds a bounding box from explicit corners.
 func occBox(minX, minY, minZ, maxX, maxY, maxZ int) BoundingBox {
@@ -14,11 +11,14 @@ func occBox(minX, minY, minZ, maxX, maxY, maxZ int) BoundingBox {
 }
 
 func TestOccIndexerRoundTrip(t *testing.T) {
-	ix, ok := newOccIndexer(occBox(-3, 2, 0, 5, 9, 4), 0, 100)
-	if !ok {
-		t.Fatal("compact box rejected")
+	box := occBox(-3, 2, 0, 5, 9, 4)
+	tl, _, ok := newTilingFromBox(box, defaultTileBytes)
+	if !ok || tl.Tiles() != 1 {
+		t.Fatalf("compact box should fit one tile, got ok=%v tiles=%d", ok, tl.Tiles())
 	}
-	// Exhaustive: every slot index maps to a unique edge and back.
+	ix := tl.indexer(0)
+	// Exhaustive: the slot index is a bijection from the box's unit edges
+	// onto [0, cells).
 	seen := make(map[int]bool, ix.cells)
 	for z := 0; z <= 4; z++ {
 		for y := 2; y <= 9; y++ {
@@ -33,10 +33,6 @@ func TestOccIndexerRoundTrip(t *testing.T) {
 						t.Fatalf("index(%v, %v) = %d collides with another edge", low, a, idx)
 					}
 					seen[idx] = true
-					gotP, gotA := ix.unindex(idx)
-					if gotP != low || gotA != a {
-						t.Fatalf("unindex(index(%v, %v)) = (%v, %v)", low, a, gotP, gotA)
-					}
 				}
 			}
 		}
@@ -46,46 +42,9 @@ func TestOccIndexerRoundTrip(t *testing.T) {
 	}
 }
 
-func TestOccIndexerThresholds(t *testing.T) {
-	box := occBox(0, 0, 0, 9, 9, 2) // 10*10*3*3 = 900 slots
-	if _, ok := newOccIndexer(box, -1, 1000); ok {
-		t.Error("negative limit should force the sparse path")
-	}
-	if _, ok := newOccIndexer(box, 899, 1000); ok {
-		t.Error("limit below the slot count should reject the dense path")
-	}
-	if ix, ok := newOccIndexer(box, 900, 1000); !ok || ix.cells != 900 {
-		t.Errorf("limit at the slot count should admit: ok=%v cells=%d", ok, ix.cells)
-	}
-	if _, ok := newOccIndexer(box, 0, 1000); !ok {
-		t.Error("adaptive limit should admit a compact box")
-	}
-	// Adaptive rejection: a sparse wire set spanning a huge box. The extents
-	// here would overflow 3*w*h*d in int arithmetic, so this also checks the
-	// stepwise overflow guard.
-	huge := occBox(0, 0, 0, 1<<40, 1<<40, 4)
-	if _, ok := newOccIndexer(huge, 0, 10); ok {
-		t.Error("adaptive limit should reject a sparse gigantic box")
-	}
-	if _, ok := newOccIndexer(NewBoundingBox(), 0, 0); ok {
-		t.Error("empty box should not build an indexer")
-	}
-}
-
-// denseAndSparse runs Check with the dense path admitted and with the map
-// fallback forced, failing the test if the results diverge.
-func denseAndSparse(t *testing.T, wires []Wire, opts CheckOptions) []Violation {
-	t.Helper()
-	opts.DenseLimit = 0
-	dense := Check(wires, opts)
-	opts.DenseLimit = -1
-	sparse := Check(wires, opts)
-	if !reflect.DeepEqual(dense, sparse) {
-		t.Fatalf("dense/sparse divergence\ndense:  %v\nsparse: %v", dense, sparse)
-	}
-	return dense
-}
-
+// TestCheckDenseMatchesSparseRandom compares Verify with Reference on
+// random multi-violation wire sets, where overlaps, layer-range and
+// discipline stops interact.
 func TestCheckDenseMatchesSparseRandom(t *testing.T) {
 	opts := CheckOptions{Layers: 4, Discipline: true}
 	for seed := int64(0); seed < 300; seed++ {
@@ -95,13 +54,13 @@ func TestCheckDenseMatchesSparseRandom(t *testing.T) {
 			w.ID = i
 			wires = append(wires, w)
 		}
-		denseAndSparse(t, wires, opts)
+		verifyAll(t, wires, opts)
 	}
 }
 
 func TestCheckDenseSharedEdgeAttribution(t *testing.T) {
 	// Three wires fighting over the same unit edge: the first claimant owns
-	// it, both later wires are charged against wire 0 — and the dense path's
+	// it, both later wires are charged against wire 0 — and the tile walk's
 	// replay must recover that attribution without owner storage.
 	edge := []Point{{1, 1, 1}, {2, 1, 1}}
 	wires := []Wire{
@@ -109,7 +68,7 @@ func TestCheckDenseSharedEdgeAttribution(t *testing.T) {
 		{ID: 1, U: -1, V: -1, Path: edge},
 		{ID: 2, U: -1, V: -1, Path: edge},
 	}
-	vs := denseAndSparse(t, wires, CheckOptions{Layers: 2, Discipline: true})
+	vs := verifyAll(t, wires, CheckOptions{Layers: 2, Discipline: true})
 	if len(vs) != 2 {
 		t.Fatalf("got %d violations, want 2: %v", len(vs), vs)
 	}
@@ -124,7 +83,7 @@ func TestCheckDenseSharedEdgeAttribution(t *testing.T) {
 	self := []Wire{{ID: 7, U: -1, V: -1, Path: []Point{
 		{0, 0, 1}, {3, 0, 1}, {3, 1, 1}, {3, 0, 1}, {5, 0, 1},
 	}}}
-	vs = denseAndSparse(t, self, CheckOptions{Layers: 2})
+	vs = verifyAll(t, self, CheckOptions{Layers: 2})
 	if len(vs) != 1 || vs[0].OtherID != 7 || vs[0].WireID != 7 {
 		t.Fatalf("self-overlap: %v, want one violation charging wire 7 against itself", vs)
 	}
@@ -140,15 +99,17 @@ func TestCheckDensePoolReuseAcrossSizes(t *testing.T) {
 		{ID: 1, U: -1, V: -1, Path: []Point{{0, 1, 1}, {40, 1, 1}}},
 	}
 	for round := 0; round < 10; round++ {
-		if vs := Check(big, CheckOptions{Layers: 2}); len(vs) != 0 {
-			t.Fatalf("round %d: big layout reported %v", round, vs)
-		}
-		if vs := Check(small, CheckOptions{Layers: 2}); len(vs) != 0 {
-			t.Fatalf("round %d: small layout reported %v", round, vs)
+		for _, wires := range [][]Wire{big, small} {
+			if vs, err := Verify(nil, wires, CheckOptions{Layers: 2, Workers: 1}); err != nil || len(vs) != 0 {
+				t.Fatalf("round %d: legal layout of %d wires reported %v (err %v)", round, len(wires), vs, err)
+			}
 		}
 	}
 }
 
+// TestCheckParallelDenseMatchesSparse repeats the random comparison on
+// larger wire sets, whose conflicts spread over several tiles under the
+// small sweep ceiling.
 func TestCheckParallelDenseMatchesSparse(t *testing.T) {
 	opts := CheckOptions{Layers: 4, Discipline: true}
 	for seed := int64(0); seed < 100; seed++ {
@@ -158,16 +119,7 @@ func TestCheckParallelDenseMatchesSparse(t *testing.T) {
 			w.ID = i
 			wires = append(wires, w)
 		}
-		sparse := opts
-		sparse.DenseLimit = -1
-		for _, workers := range []int{1, 2, 4} {
-			d := CheckParallel(wires, opts, workers)
-			s := CheckParallel(wires, sparse, workers)
-			if !reflect.DeepEqual(d, s) {
-				t.Fatalf("seed %d workers %d: parallel dense/sparse divergence\ndense:  %v\nsparse: %v",
-					seed, workers, d, s)
-			}
-		}
+		verifyAll(t, wires, opts)
 	}
 }
 

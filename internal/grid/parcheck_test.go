@@ -1,7 +1,6 @@
 package grid
 
 import (
-	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -20,15 +19,7 @@ func legalWireSet(seed int64, n int) []Wire {
 
 func TestCheckParallelMatchesSerialOnLegalSets(t *testing.T) {
 	f := func(seed int64) bool {
-		wires := legalWireSet(seed, 8)
-		serial := Check(wires, CheckOptions{})
-		for _, workers := range []int{1, 2, 4, 7} {
-			if got := CheckParallel(wires, CheckOptions{}, workers); !reflect.DeepEqual(got, serial) {
-				t.Logf("workers=%d: parallel %v != serial %v", workers, got, serial)
-				return false
-			}
-		}
-		return true
+		return verifyAll(t, legalWireSet(seed, 8), CheckOptions{}) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -36,7 +27,7 @@ func TestCheckParallelMatchesSerialOnLegalSets(t *testing.T) {
 }
 
 func TestCheckParallelMatchesSerialSingleViolation(t *testing.T) {
-	// Every single-violation case must match the serial checker exactly,
+	// Every single-violation case must match the reference exactly,
 	// including ordering and attribution.
 	cases := []struct {
 		name  string
@@ -68,23 +59,16 @@ func TestCheckParallelMatchesSerialSingleViolation(t *testing.T) {
 		}, CheckOptions{}},
 	}
 	for _, c := range cases {
-		serial := Check(c.wires, c.opts)
-		if len(serial) == 0 {
-			t.Fatalf("%s: expected serial violations", c.name)
-		}
-		for _, workers := range []int{1, 3, 8} {
-			got := CheckParallel(c.wires, c.opts, workers)
-			if !reflect.DeepEqual(got, serial) {
-				t.Errorf("%s workers=%d:\n parallel %v\n serial   %v", c.name, workers, got, serial)
-			}
+		if vs := verifyAll(t, c.wires, c.opts); len(vs) == 0 {
+			t.Errorf("%s: expected violations", c.name)
 		}
 	}
 }
 
 func TestCheckParallelLegalityVerdictMatchesSerial(t *testing.T) {
-	// On arbitrary (possibly multi-violation) inputs the two checkers must
-	// agree on legality, and parallel results must not depend on the worker
-	// count.
+	// On arbitrary (possibly multi-violation) inputs Verify must return the
+	// reference's violation set — not just its verdict — whatever the
+	// worker count or ceiling.
 	f := func(seed int64) bool {
 		var wires []Wire
 		for i := 0; i < 6; i++ {
@@ -92,19 +76,7 @@ func TestCheckParallelLegalityVerdictMatchesSerial(t *testing.T) {
 			w.ID = i
 			wires = append(wires, w)
 		}
-		serial := Check(wires, CheckOptions{Layers: 8, Discipline: false})
-		ref := CheckParallel(wires, CheckOptions{Layers: 8, Discipline: false}, 1)
-		if (len(serial) == 0) != (len(ref) == 0) {
-			t.Logf("legality disagrees: serial %v vs parallel %v", serial, ref)
-			return false
-		}
-		for _, workers := range []int{2, 4, 9} {
-			got := CheckParallel(wires, CheckOptions{Layers: 8, Discipline: false}, workers)
-			if !reflect.DeepEqual(got, ref) {
-				t.Logf("workers=%d differs from workers=1", workers)
-				return false
-			}
-		}
+		verifyAll(t, wires, CheckOptions{Layers: 8, Discipline: false})
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
@@ -115,7 +87,7 @@ func TestCheckParallelLegalityVerdictMatchesSerial(t *testing.T) {
 func TestCheckParallelDuplicateAttribution(t *testing.T) {
 	a := wire(0, Point{0, 0, 1}, Point{10, 0, 1})
 	b := wire(1, Point{5, 0, 1}, Point{7, 0, 1})
-	v := CheckParallel([]Wire{a, b}, CheckOptions{}, 4)
+	v := verifyAll(t, []Wire{a, b}, CheckOptions{})
 	if len(v) == 0 {
 		t.Fatal("overlapping wires not detected")
 	}
@@ -125,8 +97,8 @@ func TestCheckParallelDuplicateAttribution(t *testing.T) {
 }
 
 func TestCheckParallelEmptyAndNegativeCoords(t *testing.T) {
-	if v := CheckParallel(nil, CheckOptions{}, 4); v != nil {
-		t.Errorf("empty set: %v", v)
+	if v, err := Verify(nil, nil, CheckOptions{Workers: 4}); v != nil || err != nil {
+		t.Errorf("empty set: %v %v", v, err)
 	}
 	// Negative coordinates exercise the encoder's offset handling.
 	wires := []Wire{
@@ -134,11 +106,7 @@ func TestCheckParallelEmptyAndNegativeCoords(t *testing.T) {
 		wire(1, Point{-7, -3, 2}, Point{-7, 4, 2}),
 		wire(2, Point{-5, -3, 1}, Point{-3, -3, 1}), // overlaps wire 0
 	}
-	serial := Check(wires, CheckOptions{})
-	got := CheckParallel(wires, CheckOptions{}, 3)
-	if !reflect.DeepEqual(got, serial) {
-		t.Errorf("parallel %v != serial %v", got, serial)
-	}
+	got := verifyAll(t, wires, CheckOptions{})
 	if len(got) != 1 || got[0].Where.X != -5 {
 		t.Errorf("expected one violation at x=-5, got %v", got)
 	}
@@ -149,7 +117,8 @@ func TestEdgeEncoderRoundTrip(t *testing.T) {
 		wire(0, Point{-100, 50, 0}, Point{3000, 50, 0}),
 		wire(1, Point{17, -9, 5}, Point{17, 444, 5}),
 	}
-	enc, ok := newEdgeEncoder(wires, 2)
+	box, _ := Wires(wires).measure()
+	enc, ok := newEdgeEncoderFromBox(box)
 	if !ok {
 		t.Fatal("encoder rejected small coordinates")
 	}

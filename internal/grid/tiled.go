@@ -1,16 +1,15 @@
 package grid
 
-// The tiled streaming verifier is the middle rung of the dense→tiled→map
-// ladder (see CheckOptions.TileBytes). The dense bitset sizes its store by
-// the full bounding box — 3·W·H·D unit-edge slots — which for
-// Hypercube(20)-class layouts (area Θ(N²), Greenberg & Guan) either falls
-// back to the slow map path or does not fit in RAM. Tiling bounds the
-// working set by a *tile* instead: the box is partitioned into planar tiles
-// (full Z depth) whose pooled bitsets fit a configurable budget, wires are
-// streamed through the tiles their segments intersect (clipped at tile
-// borders, never re-walked whole per tile), tiles are verified
-// independently on the par pool, and unit edges straddling a tile seam are
-// reconciled in a final pass so no overlap spanning a boundary is missed.
+// The tiled verifier is Verify's engine. A bitset over the whole bounding
+// box — 3·W·H·D unit-edge slots — stops scaling on Hypercube(20)-class
+// layouts (area Θ(N²), Greenberg & Guan); tiling bounds the working set by
+// a *tile* instead: the box is partitioned into planar tiles (full Z depth)
+// whose pooled bitsets fit a per-tile budget, wires are streamed through
+// the tiles their segments intersect (clipped at tile borders, never
+// re-walked whole per tile), tiles are verified independently on the par
+// pool, and unit edges straddling a tile seam are reconciled in a final
+// pass so no overlap spanning a boundary is missed. A box that fits one
+// tile is a single bitset walk with nothing to reconcile.
 //
 // Edge→tile assignment is total and order-free: every unit edge belongs to
 // the tile containing its lower endpoint. An X-edge whose lower endpoint
@@ -18,36 +17,37 @@ package grid
 // row) crosses into the neighboring tile; those are the border edges,
 // collected as packed claims instead of bitset marks. Z-edges never cross a
 // seam — tiles span the full depth. Interior conflicts are found by the
-// per-tile pooled bitset exactly as in the dense checker; border conflicts
-// by a hash map over the sorted claims, processed in global wire order so
-// ownership attribution matches the serial checker's rule.
+// per-tile pooled bitset; border conflicts by a hash map over the sorted
+// claims, processed in global wire order so ownership attribution follows
+// the first-claimant rule.
 //
-// The output contract is the parallel checker's: checkTiled produces
-// CheckParallel's canonical violation set byte for byte, for every worker
-// count and every tile geometry — the three-way differential tests pin
-// tiled against both the dense and the map engines.
+// The output contract is the canonical violation set (see Verify), byte for
+// byte for every worker count and every tile geometry; the differential
+// tests pin it against Reference.
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
+	"math/bits"
+	"slices"
 	"sort"
+	"sync/atomic"
 
 	"mlvlsi/internal/obs"
 	"mlvlsi/internal/par"
 )
 
-// defaultTileBytes is the per-tile bitset budget used when TileBytes < 0
-// forces the tiled rung without naming a ceiling: 1 MiB per tile keeps the
+// defaultTileBytes is the per-tile bitset budget: 1 MiB per tile keeps the
 // working set cache-resident while the tile count stays small on layouts up
-// to the mid hypercube sizes.
+// to the mid hypercube sizes. A positive CheckOptions.TileBytes can only
+// lower it (see tileBudget).
 const defaultTileBytes = 1 << 20
 
 // maxTiles bounds the partition size; a budget/box combination that would
 // shatter the plane into more tiles than this (adversarially sparse
-// geometry, sub-kilobyte ceilings over huge boxes) makes the tiled rung
-// refuse, and the ladder falls back to the unbudgeted dense→map choice.
+// geometry, sub-kilobyte ceilings over huge boxes) makes the tiling refuse,
+// and Verify falls back to the map reference.
 const maxTiles = 1 << 16
 
 // stopNone marks a wire whose walk hits no layer-range or discipline
@@ -69,21 +69,26 @@ type Tiling struct {
 	NX, NY       int
 }
 
-// NewTiling measures the wire set and partitions its bounding box so that
-// one tile's occupancy bitset fits the per-tile share of tileBytes
-// (tileBytes/workers with the fan-out resolved as in Verify; tileBytes <= 0
-// selects the default per-tile budget). ok is false when the set is empty
-// or the partition would be degenerate (see maxTiles) — the same admission
-// rule Verify's tiled rung applies, so a NewTiling built from the same
-// inputs reproduces that rung's geometry exactly.
+// NewTiling measures the wire set and partitions its bounding box exactly
+// as Verify does for the same tileBytes and workers (see
+// CheckOptions.TileBytes): one tile's occupancy bitset fits the default
+// per-tile budget, capped at tileBytes/workers when tileBytes is positive.
+// ok is false when the set is empty or the tiling is infeasible (see
+// maxTiles) — the boxes Verify hands to the map reference.
 func NewTiling(wires []Wire, tileBytes, workers int) (Tiling, bool) {
 	box, _ := Wires(wires).measure()
-	per := defaultTileBytes
-	if tileBytes > 0 {
-		per = tileBytes / par.Workers(workers)
-	}
-	tl, _, ok := newTilingFromBox(box, per)
+	tl, _, ok := newTilingFromBox(box, tileBudget(tileBytes, par.Workers(workers)))
 	return tl, ok
+}
+
+// tileBudget resolves the per-tile bitset budget in bytes: defaultTileBytes,
+// capped at tileBytes/workers for a positive ceiling. With no ceiling the
+// budget — and so the partition — does not depend on the worker count.
+func tileBudget(tileBytes, workers int) int {
+	if tileBytes > 0 && tileBytes/workers < defaultTileBytes {
+		return tileBytes / workers
+	}
+	return defaultTileBytes
 }
 
 // newTilingFromBox picks the tile dimensions for a measured box: start at
@@ -104,19 +109,19 @@ func newTilingFromBox(box BoundingBox, perTileBytes int) (Tiling, edgeEncoder, b
 	w := box.MaxX - box.MinX + 1
 	h := box.MaxY - box.MinY + 1
 	d := box.MaxZ - box.MinZ + 1
-	bits := 8
+	limit := 8
 	if perTileBytes > 1 {
-		bits = perTileBytes * 8
+		limit = perTileBytes * 8
 	}
 	tw, th := w, h
-	for !tileFits(tw, th, d, bits) && (tw > 1 || th > 1) {
+	for !tileFits(tw, th, d, limit) && (tw > 1 || th > 1) {
 		if tw >= th {
 			tw = (tw + 1) / 2
 		} else {
 			th = (th + 1) / 2
 		}
 	}
-	if !tileFits(tw, th, d, bits) {
+	if !tileFits(tw, th, d, limit) {
 		return Tiling{}, edgeEncoder{}, false
 	}
 	nx := (w + tw - 1) / tw
@@ -128,7 +133,8 @@ func newTilingFromBox(box BoundingBox, perTileBytes int) (Tiling, edgeEncoder, b
 }
 
 // tileFits reports whether a tw×th×d tile's slot count 3·tw·th·d stays at
-// or below limit, overflow-safe (the stepwise form newOccIndexer uses).
+// or below limit, overflow-safe: it rejects stepwise against the limit,
+// which always fits an int.
 func tileFits(tw, th, d, limit int) bool {
 	cells := 3
 	for _, extent := range [...]int{tw, th, d} {
@@ -187,41 +193,47 @@ func (t Tiling) contains(w *Wire) bool {
 	return true
 }
 
-// WireTiles visits (once each, unordered) the tiles holding at least one of
-// the wire's unit edges. This is the dirty-set primitive for ReverifyTiles:
-// a mutation protocol marks dirty every tile of the wire's old route and
-// every tile of its new route, which guarantees any edge the mutation could
-// conflict on lies in a dirty tile. Wires with malformed paths or geometry
-// outside the box visit nothing.
+// hopTiles is the hop→tile router: the tiles holding the unit edges of a
+// hop from a along axis whose lower-endpoint coordinates run lo..end are
+// first, first+step, …, last (a row of tiles for an x-run, a column for a
+// y-run, one tile for a via run).
+func (t Tiling) hopTiles(a Point, axis Axis, lo, end int) (first, last, step int) {
+	switch axis {
+	case AxisX:
+		row := (a.Y - t.Box.MinY) / t.TileH * t.NX
+		return row + (lo-t.Box.MinX)/t.TileW, row + (end-t.Box.MinX)/t.TileW, 1
+	case AxisY:
+		col := (a.X - t.Box.MinX) / t.TileW
+		return (lo-t.Box.MinY)/t.TileH*t.NX + col, (end-t.Box.MinY)/t.TileH*t.NX + col, t.NX
+	default:
+		tile := t.TileIndex(a.X, a.Y)
+		return tile, tile, 1
+	}
+}
+
+// WireTiles visits (once each, in ascending order) the tiles holding at
+// least one of the wire's unit edges. This is the dirty-set primitive for
+// ReverifyTiles: a mutation protocol marks dirty every tile of the wire's
+// old route and every tile of its new route, which guarantees any edge the
+// mutation could conflict on lies in a dirty tile. Wires with malformed
+// paths or geometry outside the box visit nothing.
 func (t Tiling) WireTiles(w *Wire, visit func(tile int)) {
 	if _, bad := w.structural(); bad || !t.contains(w) {
 		return
 	}
-	seen := make(map[int]struct{}, 4)
-	mark := func(tile int) {
-		if _, dup := seen[tile]; !dup {
-			seen[tile] = struct{}{}
-			visit(tile)
-		}
-	}
+	var buf [16]int
+	tiles := buf[:0]
 	for i := 1; i < len(w.Path); i++ {
 		a := w.Path[i-1]
 		axis, lo, hi := hopRange(a, w.Path[i])
-		end := hi - 1 // last edge's low coordinate
-		switch axis {
-		case AxisX:
-			row := (a.Y - t.Box.MinY) / t.TileH * t.NX
-			for c := (lo - t.Box.MinX) / t.TileW; c <= (end-t.Box.MinX)/t.TileW; c++ {
-				mark(row + c)
-			}
-		case AxisY:
-			col := (a.X - t.Box.MinX) / t.TileW
-			for r := (lo - t.Box.MinY) / t.TileH; r <= (end-t.Box.MinY)/t.TileH; r++ {
-				mark(r*t.NX + col)
-			}
-		default:
-			mark(t.TileIndex(a.X, a.Y))
+		first, last, step := t.hopTiles(a, axis, lo, hi-1)
+		for tile := first; tile <= last; tile += step {
+			tiles = append(tiles, tile)
 		}
+	}
+	slices.Sort(tiles)
+	for _, tile := range slices.Compact(tiles) {
+		visit(tile)
 	}
 }
 
@@ -288,6 +300,8 @@ func hopStop(w *Wire, a Point, axis Axis, lo, hi int, opts *CheckOptions) (int, 
 // of marked in the tile bitset. The box's own last column and row never
 // yield border edges — an edge's far endpoint would leave the bounding box.
 // fn returning false aborts the walk.
+//
+//mlvlsi:hotpath
 func tileEdges(w *Wire, x0, x1, y0, y1 int, stop int32, fn func(low Point, axis Axis, seq int32, border bool) bool) {
 	seq := int32(0)
 	for i := 1; i < len(w.Path); i++ {
@@ -369,82 +383,45 @@ func ReverifyTiles(ctx context.Context, wires []Wire, tl Tiling, dirty []int, op
 		}
 		mask[tile] = true
 	}
-	return checkTiled(ctx, wires, opts, tl, enc, par.Workers(opts.Workers), 0, mask)
-}
-
-// verifyBudgeted applies the TileBytes memory ceiling: it decides the rung
-// of the dense→tiled→map ladder and runs the tiled rung when selected.
-// handled is false when the ceiling admits the full dense working set
-// (every shard's bitset together under TileBytes) or when tiling is
-// infeasible — both fall back to the unbudgeted engines.
-func verifyBudgeted(ctx context.Context, wires []Wire, opts CheckOptions) ([]Violation, error, bool) {
-	w := par.Workers(opts.Workers)
-	ms := opts.Span.Child("measure")
-	box, total := parMeasure(wires, w)
-	ms.End()
-	if box.Empty() {
-		return nil, nil, false
-	}
-	if opts.TileBytes > 0 {
-		if ix, ok := newOccIndexer(box, opts.DenseLimit, total); ok {
-			// Mirror verifyParallel's shard count: the dense working set is
-			// one full-box bitset per shard.
-			shards := 1
-			if opts.Workers != 1 {
-				dw := w
-				if maxp := runtime.GOMAXPROCS(0); dw > maxp && total >= denseClampEdges {
-					dw = maxp
-				}
-				shards = par.NumChunks(dw, len(wires))
-			}
-			if shards*ix.words()*8 <= opts.TileBytes {
-				return nil, nil, false
-			}
-		}
-	}
-	perTile := defaultTileBytes
-	if opts.TileBytes > 0 {
-		perTile = opts.TileBytes / w
-	}
-	tl, enc, ok := newTilingFromBox(box, perTile)
-	if !ok {
-		return nil, nil, false
-	}
-	vs, err := checkTiled(ctx, wires, opts, tl, enc, w, total, nil)
-	return vs, err, true
+	return checkTiled(ctx, wires, opts, tl, enc, par.Workers(opts.Workers), mask)
 }
 
 // tileBin is the output of the binning pass: per-tile wire lists in
-// ascending wire order, each wire's walk-stop position, the violations
-// found outside the occupancy walk (structural, first layer/discipline
-// stop, terminals), and the edge total of the wires an incremental check
-// re-walks.
+// ascending wire order, flattened into one slab (tile t's wires are
+// wires[start[t]:start[t+1]]), each wire's walk-stop position, the
+// violations found outside the occupancy walk (structural, first
+// layer/discipline stop, terminals), and the edge total of the wires an
+// incremental check re-walks.
 type tileBin struct {
-	tileWires  [][]int32
+	start      []int32
+	wires      []int32
 	stopSeq    []int32
 	pre        []seqViolation
 	dirtyEdges int64
 }
 
-// binWires routes every wire to the tiles its unit edges occupy, walking
-// segments (path hops), not edges — O(vertices + tiles touched) per wire on
-// the coordinator — and computes each wire's walk-stop position
-// arithmetically via hopStop, so the per-edge checks never run here. mask
-// non-nil applies ReverifyTiles' dirty-mode reporting rule: a wire's stop,
-// terminal, and edge-total contributions count only when the wire touches a
-// dirty tile (structural violations always count). ok is false when a wire
-// leaves the tiling's box.
+// binWires routes every wire to the tiles its walked unit edges occupy,
+// walking segments (path hops), not edges — O(vertices + tiles touched) per
+// wire on the coordinator — and computes each wire's walk-stop position
+// arithmetically via hopStop, so the per-edge checks never run here. The
+// per-tile lists are counted in a first pass and filled into one flat slab
+// in a second, so binning allocates a fixed number of slices however many
+// tiles a wire touches. mask non-nil applies ReverifyTiles' dirty-mode
+// reporting rule: a wire's stop, terminal, and edge-total contributions
+// count only when the wire touches a dirty tile (structural violations
+// always count). ok is false when a wire leaves the tiling's box.
+//
+//mlvlsi:hotpath
 func binWires(wires []Wire, opts *CheckOptions, tl Tiling, mask []bool, cancel *canceler) (tileBin, bool) {
+	tiles := tl.Tiles()
 	bin := tileBin{
-		tileWires: make([][]int32, tl.Tiles()),
-		stopSeq:   make([]int32, len(wires)),
+		start:   make([]int32, tiles+1),
+		stopSeq: make([]int32, len(wires)),
 	}
-	for i := range bin.stopSeq {
-		bin.stopSeq[i] = stopNone
-	}
-	// seen[tile] holds wi+1 for the last wire routed there, deduplicating a
-	// wire that re-enters a tile on a later hop without a per-wire set.
-	seen := make([]int32, tl.Tiles())
+	// seen[tile] holds wi+1 for the last wire counted there (-(wi+1) once
+	// filled), deduplicating a wire that re-enters a tile on a later hop
+	// without a per-wire set.
+	seen := make([]int32, tiles)
 	for wi := range wires {
 		if cancel.hit(wi) {
 			return bin, true
@@ -452,21 +429,12 @@ func binWires(wires []Wire, opts *CheckOptions, tl Tiling, mask []bool, cancel *
 		w := &wires[wi]
 		if v, bad := w.structural(); bad {
 			bin.pre = append(bin.pre, seqViolation{wire: int32(wi), seq: seqValidate, v: v})
-			continue
+			continue // stopSeq 0: the fill pass routes none of its hops
 		}
 		if !tl.contains(w) {
 			return bin, false
 		}
 		touched := mask == nil
-		route := func(tile int) {
-			if mask != nil && mask[tile] {
-				touched = true
-			}
-			if seen[tile] != int32(wi)+1 {
-				seen[tile] = int32(wi) + 1
-				bin.tileWires[tile] = append(bin.tileWires[tile], int32(wi))
-			}
-		}
 		var stopV Violation
 		seq, stop := int32(0), stopNone
 		edges := int64(0)
@@ -483,20 +451,15 @@ func binWires(wires []Wire, opts *CheckOptions, tl Tiling, mask []bool, cancel *
 				}
 			}
 			if cnt > 0 {
-				end := lo + cnt - 1 // last walked edge's low coordinate
-				switch axis {
-				case AxisX:
-					row := (a.Y - tl.Box.MinY) / tl.TileH * tl.NX
-					for c := (lo - tl.Box.MinX) / tl.TileW; c <= (end-tl.Box.MinX)/tl.TileW; c++ {
-						route(row + c)
+				first, last, step := tl.hopTiles(a, axis, lo, lo+cnt-1)
+				for t := first; t <= last; t += step {
+					if mask != nil && mask[t] {
+						touched = true
 					}
-				case AxisY:
-					col := (a.X - tl.Box.MinX) / tl.TileW
-					for r := (lo - tl.Box.MinY) / tl.TileH; r <= (end-tl.Box.MinY)/tl.TileH; r++ {
-						route(r*tl.NX + col)
+					if seen[t] != int32(wi)+1 {
+						seen[t] = int32(wi) + 1
+						bin.start[t+1]++
 					}
-				default:
-					route(tl.TileIndex(a.X, a.Y))
 				}
 			}
 			seq += int32(hi - lo)
@@ -508,6 +471,38 @@ func binWires(wires []Wire, opts *CheckOptions, tl Tiling, mask []bool, cancel *
 				bin.pre = append(bin.pre, seqViolation{wire: int32(wi), seq: stop, v: stopV})
 			}
 			collectTerminals(w, int32(wi), opts.Nodes, &bin.pre)
+		}
+	}
+
+	next := make([]int32, tiles)
+	for t := 0; t < tiles; t++ {
+		bin.start[t+1] += bin.start[t]
+		next[t] = bin.start[t]
+	}
+	bin.wires = make([]int32, bin.start[tiles])
+	for wi := range wires {
+		if cancel.hit(wi) {
+			return bin, true
+		}
+		w := &wires[wi]
+		stop := bin.stopSeq[wi]
+		seq := int32(0)
+		for i := 1; i < len(w.Path) && seq < stop; i++ {
+			a := w.Path[i-1]
+			axis, lo, hi := hopRange(a, w.Path[i])
+			cnt := int64(hi - lo)
+			if rem := int64(stop - seq); cnt > rem {
+				cnt = rem
+			}
+			first, last, step := tl.hopTiles(a, axis, lo, lo+int(cnt)-1)
+			for t := first; t <= last; t += step {
+				if seen[t] != -int32(wi)-1 {
+					seen[t] = -int32(wi) - 1
+					bin.wires[next[t]] = int32(wi)
+					next[t]++
+				}
+			}
+			seq += int32(hi - lo)
 		}
 	}
 	return bin, true
@@ -524,9 +519,10 @@ type tileResult struct {
 // walkTile verifies one tile: every listed wire's clipped edges are marked
 // in the tile's pooled bitset (border edges become claims instead), and if
 // any slot was hit twice the clipped walk replays in global wire order to
-// attribute owners — the dense checker's contested/replay protocol scoped
-// to the tile, valid because an interior edge's every claimant is in this
-// tile's list.
+// attribute owners — valid because an interior edge's every claimant is in
+// this tile's list. The legal path allocates nothing but border claims.
+//
+//mlvlsi:hotpath
 func walkTile(wires []Wire, list []int32, tl Tiling, tile int, enc edgeEncoder, occ []uint64, stopSeq []int32, res *tileResult, cancel *canceler) {
 	x0, x1, y0, y1 := tl.tileSpan(tile)
 	ix := tl.indexer(tile)
@@ -535,9 +531,8 @@ func walkTile(wires []Wire, list []int32, tl Tiling, tile int, enc edgeEncoder, 
 		if cancel.hit(k) {
 			return
 		}
-		w := &wires[wi]
 		c := wi
-		tileEdges(w, x0, x1, y0, y1, stopSeq[wi], func(low Point, axis Axis, seq int32, border bool) bool {
+		tileEdges(&wires[wi], x0, x1, y0, y1, stopSeq[wi], func(low Point, axis Axis, seq int32, border bool) bool {
 			if border {
 				res.claims = append(res.claims, claim{key: enc.pack(low, axis), wire: c, seq: seq})
 				return true
@@ -584,11 +579,10 @@ func walkTile(wires []Wire, list []int32, tl Tiling, tile int, enc edgeEncoder, 
 
 // checkTiled runs the tiled verification protocol: a serial binning pass
 // over path hops, an independent pooled-bitset walk per tile on the par
-// pool, and a border-claim reconciliation on the coordinator, all flowing
-// through canonicalize for byte-identical parity with the parallel checker.
-// mask non-nil restricts the walk to the dirty tiles (ReverifyTiles); total
-// is the full-mode unit-edge count from the measure pass.
-func checkTiled(ctx context.Context, wires []Wire, opts CheckOptions, tl Tiling, enc edgeEncoder, workers, total int, mask []bool) ([]Violation, error) {
+// pool, and a border-claim reconciliation (the "merge" span) on the
+// coordinator, all flowing through canonicalize. mask non-nil restricts the
+// walk to the dirty tiles (ReverifyTiles).
+func checkTiled(ctx context.Context, wires []Wire, opts CheckOptions, tl Tiling, enc edgeEncoder, workers int, mask []bool) ([]Violation, error) {
 	ob := opts.observer()
 	ob.Set(obs.WorkerCount, int64(workers))
 	cancel := &canceler{ctx: ctx}
@@ -612,17 +606,14 @@ func checkTiled(ctx context.Context, wires []Wire, opts CheckOptions, tl Tiling,
 				checked++
 			}
 		}
-	} else {
-		ob.Add(obs.UnitEdgesChecked, int64(total))
 	}
-	ob.Add(obs.TiledChecks, 1)
 	ob.Add(obs.TilesChecked, checked)
 
 	// Tiles to walk: the dirty ones in incremental mode, all of them on a
 	// full check — minus tiles no wire touches, which are vacuously legal.
 	var work []int32
-	for t := range bin.tileWires {
-		if (mask == nil || mask[t]) && len(bin.tileWires[t]) > 0 {
+	for t := 0; t < tl.Tiles(); t++ {
+		if (mask == nil || mask[t]) && bin.start[t+1] > bin.start[t] {
 			work = append(work, int32(t))
 		}
 	}
@@ -635,20 +626,21 @@ func checkTiled(ctx context.Context, wires []Wire, opts CheckOptions, tl Tiling,
 		}
 		buf := occGet(words)
 		t := int(work[i])
-		walkTile(wires, bin.tileWires[t], tl, t, enc, buf.bits, bin.stopSeq, &results[i], cancel)
+		walkTile(wires, bin.wires[bin.start[t]:bin.start[t+1]], tl, t, enc, buf.bits, bin.stopSeq, &results[i], cancel)
 		occPut(buf)
 	})
 	ws.End()
 	if err := par.Canceled(ctx); err != nil {
 		return nil, err
 	}
+	ob.Add(obs.CellsAllocated, int64(tl.cells())*int64(len(work)))
 	inflight := int64(workers)
 	if int64(len(work)) < inflight {
 		inflight = int64(len(work))
 	}
 	ob.Set(obs.TileBytesPeak, int64(words)*8*inflight)
 
-	rs := opts.Span.Child("reconcile")
+	ms := opts.Span.Child("merge")
 	all := bin.pre
 	nclaims := 0
 	for i := range results {
@@ -661,7 +653,7 @@ func checkTiled(ctx context.Context, wires []Wire, opts CheckOptions, tl Tiling,
 			claims = append(claims, results[i].claims...)
 		}
 		// Global wire order, then walk order: the first claimant of each
-		// seam edge under this order owns it — Check's attribution rule.
+		// seam edge under this order owns it.
 		sort.Slice(claims, func(i, j int) bool {
 			if claims[i].wire != claims[j].wire {
 				return claims[i].wire < claims[j].wire
@@ -682,6 +674,177 @@ func checkTiled(ctx context.Context, wires []Wire, opts CheckOptions, tl Tiling,
 		}
 	}
 	ob.Add(obs.BorderEdgesReconciled, int64(nclaims))
-	rs.End()
+	ob.Add(obs.MergeNanos, int64(ms.End()))
 	return canonicalize(wires, all), nil
+}
+
+// parMeasure is Wires.measure sharded across the worker pool: one pass over
+// all path vertices yielding the joint bounding box and total edge count.
+func parMeasure(wires []Wire, workers int) (BoundingBox, int) {
+	shards := par.NumChunks(workers, len(wires))
+	boxes := make([]BoundingBox, shards)
+	totals := make([]int, shards)
+	par.Chunks(workers, len(wires), func(shard, lo, hi int) {
+		boxes[shard], totals[shard] = Wires(wires[lo:hi]).measure()
+	})
+	box := NewBoundingBox()
+	total := 0
+	for s := range boxes {
+		if !boxes[s].Empty() {
+			box.AddPoint(Point{boxes[s].MinX, boxes[s].MinY, boxes[s].MinZ})
+			box.AddPoint(Point{boxes[s].MaxX, boxes[s].MaxY, boxes[s].MaxZ})
+		}
+		total += totals[s]
+	}
+	return box, total
+}
+
+// canceler wraps the cooperative-cancellation poll shared by the tiled
+// phases: cheap enough to call per item, polling the context only every
+// ctxStride items, with the verdict broadcast through an atomic so every
+// worker stops soon after the first one observes expiry.
+type canceler struct {
+	ctx  context.Context
+	stop atomic.Bool
+}
+
+func (c *canceler) hit(counter int) bool {
+	if c.ctx == nil || counter%ctxStride != 0 {
+		return false
+	}
+	if c.stop.Load() {
+		return true
+	}
+	if c.ctx.Err() != nil {
+		c.stop.Store(true)
+		return true
+	}
+	return false
+}
+
+// claim records one border unit edge claimed by one wire: the packed edge
+// key plus the claiming wire's slice index and the edge's position along
+// its path.
+type claim struct {
+	key  uint64
+	wire int32
+	seq  int32
+}
+
+// seqViolation carries a violation with its canonical sort position.
+type seqViolation struct {
+	wire int32
+	seq  int32
+	v    Violation
+}
+
+const (
+	seqValidate  = int32(-1)        // malformed path, before any edge
+	seqTerminalU = int32(1<<31 - 2) // terminal checks run after the walk
+	seqTerminalV = int32(1<<31 - 1)
+)
+
+// collectTerminals appends the terminal violations of one wire tagged with
+// their canonical sort positions.
+func collectTerminals(w *Wire, wi int32, nodes []Rect, violations *[]seqViolation) {
+	if nodes == nil || w.U < 0 || w.V < 0 || len(w.Path) == 0 {
+		return
+	}
+	var tv []Violation
+	checkTerminal(w, w.Path[0], w.U, nodes, &tv)
+	for _, v := range tv {
+		*violations = append(*violations, seqViolation{wire: wi, seq: seqTerminalU, v: v})
+	}
+	tv = tv[:0]
+	checkTerminal(w, w.Path[len(w.Path)-1], w.V, nodes, &tv)
+	for _, v := range tv {
+		*violations = append(*violations, seqViolation{wire: wi, seq: seqTerminalV, v: v})
+	}
+}
+
+// canonicalize sorts the tagged violations into the canonical order (wire,
+// then path position) and keeps at most one walk violation per wire, the
+// earliest (validate and terminal violations are outside the walk and
+// unaffected).
+func canonicalize(wires []Wire, all []seqViolation) []Violation {
+	if len(all) == 0 {
+		return nil
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].wire != all[j].wire {
+			return all[i].wire < all[j].wire
+		}
+		return all[i].seq < all[j].seq
+	})
+	out := make([]Violation, 0, len(all))
+	walkDone := int32(-1) // last wire whose walk violation was emitted
+	for _, sv := range all {
+		if sv.seq >= 0 && sv.seq < seqTerminalU {
+			if sv.wire == walkDone {
+				continue
+			}
+			walkDone = sv.wire
+		}
+		out = append(out, sv.v)
+	}
+	return out
+}
+
+// edgeEncoder packs a unit edge (lower endpoint + axis) into a uint64:
+// 2 axis bits in the low word, then Z, Y, X fields sized to the wire set's
+// bounding box. Border reconciliation keys its map by these integers, which
+// hash an order of magnitude faster than the 32-byte struct key the map
+// reference uses.
+type edgeEncoder struct {
+	minX, minY, minZ       int
+	shiftZ, shiftY, shiftX uint
+}
+
+// newEdgeEncoderFromBox derives the packed field layout from a measured
+// bounding box. ok is false when the spans do not fit in 62 bits.
+func newEdgeEncoderFromBox(box BoundingBox) (edgeEncoder, bool) {
+	if box.Empty() {
+		return edgeEncoder{}, true
+	}
+	// Each field is sized by its span+1 (head-room: the unit-edge lower
+	// endpoint never exceeds the box, but this keeps the arithmetic
+	// obviously safe). The unsigned difference is exact for any box; a span
+	// of 2^64 wraps to zero and is sized past the 64-bit limit.
+	bitsFor := func(lo, hi int) uint {
+		span := uint64(hi-lo) + 1
+		if span == 0 {
+			return 64
+		}
+		return uint(max(1, bits.Len64(span)))
+	}
+	bz := bitsFor(box.MinZ, box.MaxZ)
+	by := bitsFor(box.MinY, box.MaxY)
+	bx := bitsFor(box.MinX, box.MaxX)
+	if 2+bz+by+bx > 64 {
+		return edgeEncoder{}, false
+	}
+	return edgeEncoder{
+		minX: box.MinX, minY: box.MinY, minZ: box.MinZ,
+		shiftZ: 2,
+		shiftY: 2 + bz,
+		shiftX: 2 + bz + by,
+	}, true
+}
+
+func (e edgeEncoder) pack(p Point, axis Axis) uint64 {
+	return uint64(p.X-e.minX)<<e.shiftX |
+		uint64(p.Y-e.minY)<<e.shiftY |
+		uint64(p.Z-e.minZ)<<e.shiftZ |
+		uint64(axis)
+}
+
+// unpack recovers the edge's lower endpoint from a packed key.
+func (e edgeEncoder) unpack(key uint64) Point {
+	maskY := uint64(1)<<(e.shiftX-e.shiftY) - 1
+	maskZ := uint64(1)<<(e.shiftY-e.shiftZ) - 1
+	return Point{
+		X: int(key>>e.shiftX) + e.minX,
+		Y: int(key>>e.shiftY&maskY) + e.minY,
+		Z: int(key>>e.shiftZ&maskZ) + e.minZ,
+	}
 }

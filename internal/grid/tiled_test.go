@@ -9,7 +9,7 @@ import (
 	"mlvlsi/internal/obs"
 )
 
-// tiledOpts forces the tiled rung for the given worker count and budget.
+// tiledOpts returns Verify options for the given worker count and ceiling.
 func tiledOpts(workers, tileBytes int) CheckOptions {
 	return CheckOptions{Workers: workers, TileBytes: tileBytes}
 }
@@ -79,8 +79,8 @@ func TestWireTilesSpansRoute(t *testing.T) {
 }
 
 // TestVerifyTiledBorderConflict plants an overlap exactly across a tile
-// seam and checks the reconciliation pass reports it with the parallel
-// checker's attribution, while the counters prove the tiled rung engaged.
+// seam and checks the reconciliation pass reports it with the reference's
+// attribution, while the counters prove the box was split into tiles.
 func TestVerifyTiledBorderConflict(t *testing.T) {
 	// Long parallel x-runs; wires 0 and 1 overlap on x 20..40 of row y=4.
 	wires := []Wire{
@@ -89,7 +89,7 @@ func TestVerifyTiledBorderConflict(t *testing.T) {
 		wire(2, Point{0, 0, 1}, Point{64, 0, 1}),
 		wire(3, Point{0, 8, 1}, Point{64, 8, 1}),
 	}
-	want := CheckParallel(wires, CheckOptions{}, 2)
+	want := Reference(wires, CheckOptions{})
 	if len(want) == 0 {
 		t.Fatal("expected an overlap violation")
 	}
@@ -101,7 +101,7 @@ func TestVerifyTiledBorderConflict(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("tiled %v != parallel %v", got, want)
+		t.Fatalf("tiled %v != reference %v", got, want)
 	}
 	m := ob.Snapshot()
 	if m.Get(obs.TiledChecks) != 1 {
@@ -129,7 +129,7 @@ func TestVerifyTiledBorderConflict(t *testing.T) {
 // on a tile border: the X-edge whose low endpoint is the last lattice
 // column of tile (0,0), which the walk pass defers as a border claim from
 // both wires — only the final reconciliation pass can see the conflict. The
-// reconciled report must match the sharded checker down to the violation's
+// reconciled report must match the reference down to the violation's
 // location and attribution.
 func TestVerifyTiledFaultPlantedOnBorder(t *testing.T) {
 	wires := []Wire{
@@ -142,9 +142,9 @@ func TestVerifyTiledFaultPlantedOnBorder(t *testing.T) {
 	}
 	_, x1, _, _ := tl.tileSpan(0)
 	wires = append(wires, wire(2, Point{x1, 0, 1}, Point{x1 + 1, 0, 1}))
-	want := CheckParallel(wires, CheckOptions{}, 2)
+	want := Reference(wires, CheckOptions{})
 	if len(want) != 1 || want[0].Code != ReasonSharedEdge || want[0].Where != (Point{x1, 0, 1}) {
-		t.Fatalf("parallel oracle: want one shared edge at x=%d, got %v", x1, want)
+		t.Fatalf("reference: want one shared edge at x=%d, got %v", x1, want)
 	}
 	ob := obs.New()
 	opts := tiledOpts(2, 128*2) // 128 bytes per tile: tl's geometry exactly
@@ -154,7 +154,7 @@ func TestVerifyTiledFaultPlantedOnBorder(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("tiled %v != parallel %v", got, want)
+		t.Fatalf("tiled %v != reference %v", got, want)
 	}
 	if got[0].EdgeAxis != AxisX || got[0].OtherID != 0 {
 		t.Fatalf("border violation attribution: %+v", got[0])
@@ -164,9 +164,9 @@ func TestVerifyTiledFaultPlantedOnBorder(t *testing.T) {
 	}
 }
 
-// TestVerifyTiledGeometries drives the tiled rung through degenerate
-// partitions — a single tile, a 2x2-ish grid, and one-lattice-thin columns
-// — and requires exact parallel parity on a conflicted wire set in each.
+// TestVerifyTiledGeometries drives Verify through degenerate partitions — a
+// single tile, a 2x2-ish grid, and one-lattice-thin columns — and requires
+// exact reference parity on a conflicted wire set in each.
 func TestVerifyTiledGeometries(t *testing.T) {
 	// A wide, short wire set with overlaps and a discipline violation.
 	wires := []Wire{
@@ -178,7 +178,7 @@ func TestVerifyTiledGeometries(t *testing.T) {
 		wire(5, Point{300, 0, 0}, Point{300, 0, 3}), // via run
 	}
 	opts := CheckOptions{Layers: 4, Discipline: true}
-	want := CheckParallel(wires, opts, 3)
+	want := Reference(wires, opts)
 	if len(want) == 0 {
 		t.Fatal("expected violations")
 	}
@@ -188,17 +188,13 @@ func TestVerifyTiledGeometries(t *testing.T) {
 		tileBytes int
 		wantNX    func(nx, ny int) bool
 	}{
-		{"one-tile", -1, func(nx, ny int) bool { return nx == 1 && ny == 1 }},
+		{"one-tile", 0, func(nx, ny int) bool { return nx == 1 && ny == 1 }},
 		{"grid", 160 * 3, func(nx, ny int) bool { return nx >= 2 }},
 		{"thin", 9, func(nx, ny int) bool { return nx >= 100 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			per := defaultTileBytes
-			if tc.tileBytes > 0 {
-				per = tc.tileBytes / 3
-			}
-			tl, _, ok := newTilingFromBox(box, per)
+			tl, _, ok := newTilingFromBox(box, tileBudget(tc.tileBytes, 3))
 			if !ok {
 				t.Fatal("tiling refused")
 			}
@@ -215,7 +211,7 @@ func TestVerifyTiledGeometries(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("workers=%d: tiled %v != parallel %v", workers, got, want)
+					t.Fatalf("workers=%d: tiled %v != reference %v", workers, got, want)
 				}
 			}
 		})
@@ -225,11 +221,11 @@ func TestVerifyTiledGeometries(t *testing.T) {
 func TestVerifyTiledMatchesParallelRandom(t *testing.T) {
 	f := func(seed int64) bool {
 		wires := legalWireSet(seed, 8)
-		want := CheckParallel(wires, CheckOptions{}, 4)
-		for _, tileBytes := range []int{-1, 16, 64} {
+		want := Reference(wires, CheckOptions{})
+		for _, tileBytes := range []int{0, 16, 64} {
 			got, err := Verify(nil, wires, tiledOpts(4, tileBytes))
 			if err != nil || !reflect.DeepEqual(got, want) {
-				t.Logf("tile=%d: tiled %v (err %v) != parallel %v", tileBytes, got, err, want)
+				t.Logf("tile=%d: tiled %v (err %v) != reference %v", tileBytes, got, err, want)
 				return false
 			}
 		}
@@ -286,7 +282,7 @@ func TestReverifyTiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := CheckParallel(wires, CheckOptions{}, 1)
+	want := Reference(wires, CheckOptions{})
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("incremental %v != full %v", got, want)
 	}
@@ -332,20 +328,133 @@ func TestReverifyTilesErrors(t *testing.T) {
 	}
 }
 
-// TestVerifyTiledLadderFallThrough pins the ladder decision: a ceiling
-// roomy enough for the dense working set must not engage the tiled rung.
+// TestVerifyTiledLadderFallThrough pins the single-tile case: a layout
+// whose box fits one tile — under a roomy ceiling or none — is one bitset
+// walk with nothing to reconcile, counted as a dense check and never as a
+// map-rung run.
 func TestVerifyTiledLadderFallThrough(t *testing.T) {
 	wires := []Wire{wire(0, Point{0, 0, 1}, Point{8, 0, 1})}
-	ob := obs.New()
-	opts := CheckOptions{Workers: 1, TileBytes: 1 << 20, Observer: ob}
-	if vs, err := Verify(nil, wires, opts); err != nil || len(vs) != 0 {
-		t.Fatalf("legal wire: %v %v", vs, err)
+	for _, ceiling := range []int{0, 1 << 20} {
+		ob := obs.New()
+		opts := CheckOptions{Workers: 1, TileBytes: ceiling, Observer: ob}
+		if vs, err := Verify(nil, wires, opts); err != nil || len(vs) != 0 {
+			t.Fatalf("ceiling %d: legal wire: %v %v", ceiling, vs, err)
+		}
+		m := ob.Snapshot()
+		for c, want := range map[obs.Counter]int64{
+			obs.TiledChecks: 1, obs.DenseChecks: 1, obs.SparseChecks: 0,
+			obs.TilesChecked: 1, obs.BorderEdgesReconciled: 0,
+		} {
+			if got := m.Get(c); got != want {
+				t.Errorf("ceiling %d: %s = %d, want %d", ceiling, c, got, want)
+			}
+		}
 	}
-	m := ob.Snapshot()
-	if m.Get(obs.TiledChecks) != 0 {
-		t.Fatal("roomy ceiling engaged the tiled rung")
+}
+
+// TestVerifyMapRungFarApart hand-builds wire sets whose boxes the tiling
+// cannot partition — two wires 2^40 columns apart (more than maxTiles
+// tiles), and two whose coordinates do not pack into 64 bits — and checks
+// that Verify takes the map rung and still returns the reference's
+// violations, for every worker count and ceiling.
+func TestVerifyMapRungFarApart(t *testing.T) {
+	for _, far := range []int{1 << 40, 1 << 62} {
+		wires := []Wire{
+			wire(0, Point{0, 0, 1}, Point{4, 0, 1}),
+			wire(1, Point{2, 0, 1}, Point{3, 0, 1}), // overlaps wire 0
+			wire(2, Point{far, 0, 1}, Point{far + 4, 0, 1}),
+			wire(3, Point{far + 1, 0, 2}, Point{far + 3, 0, 2}),
+		}
+		opts := CheckOptions{Layers: 2, Discipline: true}
+		want := verifyAll(t, wires, opts)
+		if len(want) != 2 {
+			t.Fatalf("far=%d: want an overlap and a discipline violation, got %v", far, want)
+		}
+		ob := obs.New()
+		opts.Observer = ob
+		if _, err := Verify(nil, wires, opts); err != nil {
+			t.Fatal(err)
+		}
+		if m := ob.Snapshot(); m.Get(obs.SparseChecks) != 1 || m.Get(obs.TilesChecked) != 0 {
+			t.Fatalf("far=%d: sparse_checks = %d, tiles_checked = %d; want the map rung",
+				far, m.Get(obs.SparseChecks), m.Get(obs.TilesChecked))
+		}
 	}
-	if m.Get(obs.DenseChecks) != 1 {
-		t.Fatalf("dense_checks = %d, want 1", m.Get(obs.DenseChecks))
-	}
+}
+
+// FuzzNewTiling drives the partitioner with random boxes — negative
+// minimums, tall Z extents, planar extents up to 2^44 —
+// ceilings and worker counts. A feasible tiling must cover every lattice
+// column and row exactly once, agree with TileIndex at every tile's
+// corners, fit one tile's bitset in the per-tile budget, and stay within
+// maxTiles; an infeasible one must send Verify to the map rung.
+func FuzzNewTiling(f *testing.F) {
+	f.Add(int32(0), int32(0), int32(0), uint64(64), uint64(32), uint16(2), 1024, uint8(2))
+	f.Add(int32(-50), int32(-7), int32(-3), uint64(1<<40), uint64(3), uint16(5), 0, uint8(1))
+	f.Add(int32(5), int32(5), int32(0), uint64(2), uint64(2), uint16(60000), 1<<10, uint8(8))
+	f.Add(int32(-1), int32(-1), int32(0), uint64(1<<44), uint64(1<<44), uint16(1), 64<<20, uint8(3))
+	f.Fuzz(func(t *testing.T, minX, minY, minZ int32, w, h uint64, d uint16, ceiling int, workers uint8) {
+		w, h = 4+w%(1<<44), 1+h%(1<<44)
+		box := occBox(int(minX), int(minY), int(minZ),
+			int(minX)+int(w)-1, int(minY)+int(h)-1, int(minZ)+int(d))
+		nw := 1 + int(workers%16)
+		budget := tileBudget(ceiling, nw)
+		tl, _, ok := newTilingFromBox(box, budget)
+
+		// Two short wires at opposite corners span exactly the box.
+		wires := []Wire{
+			wire(0, Point{box.MinX, box.MinY, box.MinZ}, Point{box.MinX + 1, box.MinY, box.MinZ}),
+			wire(1, Point{box.MaxX - 1, box.MaxY, box.MaxZ}, Point{box.MaxX, box.MaxY, box.MaxZ}),
+		}
+		ob := obs.New()
+		vs, err := Verify(nil, wires, CheckOptions{Workers: nw, TileBytes: ceiling, Observer: ob})
+		if err != nil || vs != nil {
+			t.Fatalf("legal corner wires: %v %v", vs, err)
+		}
+		if got := ob.Snapshot().Get(obs.SparseChecks); (got == 1) == ok {
+			t.Fatalf("feasible=%v but sparse_checks = %d", ok, got)
+		}
+		if !ok {
+			return
+		}
+		if ntl, nok := NewTiling(wires, ceiling, nw); !nok || ntl != tl {
+			t.Fatalf("NewTiling %+v (ok %v) disagrees with Verify's partition %+v", ntl, nok, tl)
+		}
+		if tl.Tiles() > maxTiles {
+			t.Fatalf("%d tiles exceed maxTiles", tl.Tiles())
+		}
+		if limit := maxInt(8, budget*8); tl.cells() > limit {
+			t.Fatalf("tile of %d slots exceeds the %d-bit budget", tl.cells(), limit)
+		}
+		next := box.MinX
+		for tx := 0; tx < tl.NX; tx++ {
+			x0, x1, _, _ := tl.tileSpan(tx)
+			if x0 != next || x1 < x0 {
+				t.Fatalf("column %d spans %d..%d, want to start at %d", tx, x0, x1, next)
+			}
+			next = x1 + 1
+		}
+		if next != box.MaxX+1 {
+			t.Fatalf("columns end at %d, box at %d", next-1, box.MaxX)
+		}
+		next = box.MinY
+		for ty := 0; ty < tl.NY; ty++ {
+			_, _, y0, y1 := tl.tileSpan(ty * tl.NX)
+			if y0 != next || y1 < y0 {
+				t.Fatalf("row %d spans %d..%d, want to start at %d", ty, y0, y1, next)
+			}
+			next = y1 + 1
+		}
+		if next != box.MaxY+1 {
+			t.Fatalf("rows end at %d, box at %d", next-1, box.MaxY)
+		}
+		for tile := 0; tile < tl.Tiles(); tile++ {
+			x0, x1, y0, y1 := tl.tileSpan(tile)
+			for _, pt := range [][2]int{{x0, y0}, {x1, y0}, {x0, y1}, {x1, y1}} {
+				if got := tl.TileIndex(pt[0], pt[1]); got != tile {
+					t.Fatalf("TileIndex(%d,%d) = %d, want %d", pt[0], pt[1], got, tile)
+				}
+			}
+		}
+	})
 }

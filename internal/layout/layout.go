@@ -138,17 +138,15 @@ type WireLength struct {
 	U, V, Length int
 }
 
-// VerifyOpts is the single verifier entrypoint behind every Verify* name:
-// it checks the layout's legality under the multilayer grid model — wires
-// are rectilinear, pairwise edge-disjoint, within layers 0..L, obey the
-// direction discipline, and terminate on their endpoint nodes. The
+// VerifyOpts checks the layout's legality under the multilayer grid model
+// — wires are rectilinear, pairwise edge-disjoint, within layers 0..L, obey
+// the direction discipline, and terminate on their endpoint nodes. The
 // layout's geometry (layers, discipline, node rectangles) overrides the
-// corresponding option fields; everything else — engine selection
-// (Workers), the dense→tiled→map memory ladder (TileBytes, DenseLimit),
-// and instrumentation — comes from opts. When opts.Span is nil the check
-// is rooted as a "verify" span on opts.Observer (which may itself be nil,
-// disabling observation at zero cost); a caller-supplied span is used
-// as-is, exactly as grid.Verify documents.
+// corresponding option fields; everything else — the worker fan-out, the
+// memory ceiling (TileBytes), and instrumentation — comes from opts. When
+// opts.Span is nil the check is rooted as a "verify" span on opts.Observer
+// (which may itself be nil, disabling observation at zero cost); a
+// caller-supplied span is used as-is, exactly as grid.Verify documents.
 func (l *Layout) VerifyOpts(ctx context.Context, opts grid.CheckOptions) ([]grid.Violation, error) {
 	opts.Layers = l.L
 	opts.Discipline = true
@@ -164,58 +162,13 @@ func (l *Layout) VerifyOpts(ctx context.Context, opts grid.CheckOptions) ([]grid
 	return vs, err
 }
 
-// Verify checks the layout's legality with the sharded checker at full
-// fan-out.
-//
-// Deprecated: equivalent to VerifyOpts(nil, grid.CheckOptions{}); kept for
-// the many construction-time callers.
-func (l *Layout) Verify() []grid.Violation {
-	vs, _ := l.VerifyContext(nil, 0)
-	return vs
-}
-
-// VerifyWorkers is Verify with an explicit fan-out bound (0 = GOMAXPROCS,
-// 1 = the serial engine). Legality verdicts are identical for every worker
-// count.
-//
-// Deprecated: equivalent to VerifyOpts with Workers set.
-func (l *Layout) VerifyWorkers(workers int) []grid.Violation {
-	vs, _ := l.VerifyOpts(nil, grid.CheckOptions{Workers: workers})
-	return vs
-}
-
-// VerifyContext is VerifyWorkers with cooperative cancellation: it returns
-// a nil violation slice plus an error wrapping par.ErrCanceled once ctx
-// (which may be nil, meaning no cancellation) is done.
-//
-// Deprecated: equivalent to VerifyOpts with Workers set.
-func (l *Layout) VerifyContext(ctx context.Context, workers int) ([]grid.Violation, error) {
-	return l.VerifyOpts(ctx, grid.CheckOptions{Workers: workers})
-}
-
-// VerifyTuned is VerifyContext plus the dense-occupancy threshold
-// (grid.CheckOptions.DenseLimit).
-//
-// Deprecated: equivalent to VerifyOpts with Workers and DenseLimit set.
-func (l *Layout) VerifyTuned(ctx context.Context, workers, denseLimit int) ([]grid.Violation, error) {
-	return l.VerifyOpts(ctx, grid.CheckOptions{Workers: workers, DenseLimit: denseLimit})
-}
-
-// VerifyObserved is VerifyTuned with observation: the check is reported as
-// a "verify" root span on o and the verifier counters accumulate there.
-//
-// Deprecated: equivalent to VerifyOpts with Workers, DenseLimit, and
-// Observer set.
-func (l *Layout) VerifyObserved(ctx context.Context, workers, denseLimit int, o *obs.Observer) ([]grid.Violation, error) {
-	return l.VerifyOpts(ctx, grid.CheckOptions{Workers: workers, DenseLimit: denseLimit, Observer: o})
-}
-
-// VerifyStrict performs Verify plus the Thompson-strict clearance check:
-// no planar wire segment may pass through the interior of a foreign node
-// rectangle. The multilayer model permits such crossings; the engines in
-// this module never produce them, and strict verification certifies that.
+// VerifyStrict performs VerifyOpts with default options plus the
+// Thompson-strict clearance check: no planar wire segment may pass through
+// the interior of a foreign node rectangle. The multilayer model permits
+// such crossings; the engines in this module never produce them, and strict
+// verification certifies that.
 func (l *Layout) VerifyStrict() []grid.Violation {
-	if v := l.Verify(); len(v) > 0 {
+	if v, _ := l.VerifyOpts(nil, grid.CheckOptions{}); len(v) > 0 {
 		return v
 	}
 	return grid.CheckClearance(l.Wires, l.Nodes)
@@ -224,7 +177,7 @@ func (l *Layout) VerifyStrict() []grid.Violation {
 // MustVerify panics with a descriptive message if the layout is illegal;
 // intended for construction-time assertions in examples and benchmarks.
 func (l *Layout) MustVerify() {
-	if v := l.Verify(); len(v) > 0 {
+	if v, _ := l.VerifyOpts(nil, grid.CheckOptions{}); len(v) > 0 {
 		panic(fmt.Sprintf("layout %s is illegal: %v (and %d more)", l.Name, v[0], len(v)-1))
 	}
 }

@@ -56,7 +56,7 @@ func TestMetrics(t *testing.T) {
 
 func TestVerifyAndStats(t *testing.T) {
 	lay := tiny()
-	if v := lay.Verify(); len(v) != 0 {
+	if v, _ := lay.VerifyOpts(nil, grid.CheckOptions{}); len(v) != 0 {
 		t.Fatalf("legal layout flagged: %v", v)
 	}
 	s := lay.Stats()
@@ -74,7 +74,7 @@ func TestVerifyCatchesIllegal(t *testing.T) {
 	dup := lay.Wires[0]
 	dup.ID = 1
 	lay.Wires = append(lay.Wires, dup)
-	if v := lay.Verify(); len(v) == 0 {
+	if v, _ := lay.VerifyOpts(nil, grid.CheckOptions{}); len(v) == 0 {
 		t.Error("duplicated wire not flagged")
 	}
 }
@@ -95,7 +95,7 @@ func TestEmptyLayout(t *testing.T) {
 	if lay.Area() != 0 || lay.Volume() != 0 || lay.MaxWireLength() != 0 {
 		t.Error("empty layout should have zero metrics")
 	}
-	if v := lay.Verify(); len(v) != 0 {
+	if v, _ := lay.VerifyOpts(nil, grid.CheckOptions{}); len(v) != 0 {
 		t.Errorf("empty layout flagged: %v", v)
 	}
 }

@@ -36,17 +36,19 @@ const (
 	// UnitEdgesChecked counts unit grid edges examined by the verifier
 	// (ClassWork; added once per check from the measure pass's total).
 	UnitEdgesChecked
-	// DenseChecks counts verifier runs that took the dense bitset path
-	// (ClassWork: the dense/sparse decision depends only on the input).
+	// DenseChecks counts verifier runs whose tile partition is a single
+	// tile: the whole bounding box fits one occupancy bitset (ClassWork:
+	// with no memory ceiling the partition depends only on the input).
 	DenseChecks
-	// SparseChecks counts verifier runs that fell back to the hash path
-	// (ClassWork).
+	// SparseChecks counts verifier runs on the map rung: boxes the tiling
+	// cannot partition, checked by grid.Reference's hash map (ClassWork).
 	SparseChecks
 	// CellsPlanned accumulates the planned grid occupancy of builds:
 	// (width+1)·(height+1)·(L+1) per realized spec (ClassWork).
 	CellsPlanned
-	// CellsAllocated accumulates the dense verifier's unit-edge slot counts
-	// (the occupancy bitset capacity, in bits) (ClassWork).
+	// CellsAllocated accumulates the tiled verifier's occupancy bitset
+	// capacity in bits: one tile's unit-edge slots times the tiles walked
+	// (ClassWork).
 	CellsAllocated
 	// BudgetHeadroom gauges MaxCells minus the planned cells of the most
 	// recent budgeted build; negative when the plan was over budget
@@ -55,8 +57,9 @@ const (
 	// WorkerCount gauges the most recently resolved worker fan-out
 	// (ClassConfig, written with Set).
 	WorkerCount
-	// MergeNanos accumulates wall time of the parallel verifier's shard
-	// merge scans, in nanoseconds (ClassTiming).
+	// MergeNanos accumulates wall time of the tiled verifier's
+	// border-reconcile phase (the "merge" span), in nanoseconds
+	// (ClassTiming).
 	MergeNanos
 	// CacheHits counts serving-cache lookups answered from memory
 	// (ClassServe).
@@ -121,10 +124,8 @@ const (
 	// the builder on a full hand-off queue or the verifier on an empty one —
 	// a backpressure signal that depends on scheduling (ClassServe).
 	BatchPipelineStalls
-	// TiledChecks counts verifier runs that took the tiled streaming path —
-	// the middle rung of the dense→tiled→map ladder, engaged when a memory
-	// ceiling rejects the full dense bitset (ClassWork: the rung decision
-	// depends only on the input and the configured ceiling).
+	// TiledChecks counts full verifier runs (grid.Verify calls that reach
+	// the measure pass), whichever rung they take (ClassWork).
 	TiledChecks
 	// TilesChecked counts tiles walked by the tiled verifier: every tile of
 	// the partition on a full check, exactly the dirty tiles on a

@@ -134,37 +134,6 @@ func Chunks(workers, n int, fn func(shard, lo, hi int)) {
 	}
 }
 
-// AlignedChunks is Chunks with every boundary rounded to a multiple of
-// align: [0, n) is split into contiguous ranges whose lo — and hi, except on
-// the final range — are multiples of align. The dense verifier hands each
-// worker whole cache lines of a flat occupancy array this way, so no two
-// shards' ranges straddle a line. align < 2 degrades to Chunks.
-//
-//mlvlsi:hotpath
-func AlignedChunks(workers, n, align int, fn func(chunk, lo, hi int)) {
-	if align < 2 {
-		Chunks(workers, n, fn)
-		return
-	}
-	units := (n + align - 1) / align
-	Chunks(workers, units, func(chunk, ulo, uhi int) {
-		lo, hi := ulo*align, uhi*align
-		if hi > n {
-			hi = n
-		}
-		fn(chunk, lo, hi)
-	})
-}
-
-// NumAlignedChunks returns the number of ranges AlignedChunks will use for
-// n items at the given alignment.
-func NumAlignedChunks(workers, n, align int) int {
-	if align < 2 {
-		return NumChunks(workers, n)
-	}
-	return NumChunks(workers, (n+align-1)/align)
-}
-
 // NumChunks returns the number of shards Chunks will use for n items.
 func NumChunks(workers, n int) int {
 	if n <= 0 {

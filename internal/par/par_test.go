@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -271,46 +270,6 @@ func TestMapDeterministicOrder(t *testing.T) {
 		for i, v := range got {
 			if v != i*i {
 				t.Fatalf("workers=%d: out[%d] = %d", workers, i, v)
-			}
-		}
-	}
-}
-
-func TestAlignedChunksCoverAndAlign(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 8} {
-		for _, n := range []int{0, 1, 7, 8, 64, 100, 1000} {
-			for _, align := range []int{1, 4, 8, 64} {
-				var mu sync.Mutex
-				covered := make([]bool, n)
-				chunks := 0
-				AlignedChunks(workers, n, align, func(chunk, lo, hi int) {
-					mu.Lock()
-					defer mu.Unlock()
-					chunks++
-					if align >= 2 {
-						if lo%align != 0 {
-							t.Errorf("workers=%d n=%d align=%d: lo %d not aligned", workers, n, align, lo)
-						}
-						if hi != n && hi%align != 0 {
-							t.Errorf("workers=%d n=%d align=%d: interior hi %d not aligned", workers, n, align, hi)
-						}
-					}
-					for i := lo; i < hi; i++ {
-						if covered[i] {
-							t.Errorf("workers=%d n=%d align=%d: index %d covered twice", workers, n, align, i)
-						}
-						covered[i] = true
-					}
-				})
-				for i, ok := range covered {
-					if !ok {
-						t.Fatalf("workers=%d n=%d align=%d: index %d never covered", workers, n, align, i)
-					}
-				}
-				if want := NumAlignedChunks(workers, n, align); chunks != want {
-					t.Errorf("workers=%d n=%d align=%d: %d chunks ran, NumAlignedChunks says %d",
-						workers, n, align, chunks, want)
-				}
 			}
 		}
 	}

@@ -34,9 +34,9 @@ type Config struct {
 	// their own setting (which itself degrades to GOMAXPROCS).
 	Workers int
 	// VerifyMemBytes caps each request's verifier working set: requests
-	// asking for more (or for no cap at all) are clamped to it, engaging
-	// the tiled streaming rung when the dense bit-grid would not fit (see
-	// Options.VerifyMemBytes). 0 leaves requests at their own setting.
+	// asking for more (or for no cap at all) are clamped to it, which lowers
+	// the verifier's per-tile budget (see Options.VerifyMemBytes). 0 leaves
+	// requests at their own setting.
 	VerifyMemBytes int
 	// Timeout is the per-request deadline, layered over the client's own
 	// disconnect cancellation. 0 means no server-side deadline.

@@ -309,7 +309,7 @@ func (s *Layout3D) MaxWireLength() int {
 // the in-board wiring after shifting each band back to z = 0.
 func (s *Layout3D) Verify() []grid.Violation {
 	// Global pass: pure edge-disjointness.
-	if v := grid.Check(s.Wires, grid.CheckOptions{}); len(v) > 0 {
+	if v, _ := grid.Verify(nil, s.Wires, grid.CheckOptions{}); len(v) > 0 {
 		return v
 	}
 	// Per-board pass: discipline within the band.
@@ -325,7 +325,7 @@ func (s *Layout3D) Verify() []grid.Violation {
 			}
 			shifted = append(shifted, w)
 		}
-		if v := grid.Check(shifted, grid.CheckOptions{Layers: s.LayersPerBoard, Discipline: true}); len(v) > 0 {
+		if v, _ := grid.Verify(nil, shifted, grid.CheckOptions{Layers: s.LayersPerBoard, Discipline: true}); len(v) > 0 {
 			return v
 		}
 	}

@@ -77,11 +77,12 @@ const (
 	CounterBreakerOpens    = obs.BreakerOpens
 	CounterChaosInjected   = obs.ChaosInjected
 
-	// Tiled-verifier counters, maintained by the dense→tiled→map ladder
-	// behind Options.VerifyMemBytes: runs that engaged the tiled rung, tiles
-	// walked (all of them on a full check, only the dirty ones on an
-	// incremental re-check), border unit-edge claims reconciled across tile
-	// seams, and the peak tile-bitset working set gauge.
+	// Tiled-verifier counters: full verifier runs, tiles walked (all of
+	// them on a full check, only the dirty ones on an incremental
+	// re-check), border unit-edge claims reconciled across tile seams, and
+	// the peak tile-bitset working set gauge. See internal/obs for how
+	// dense_checks, sparse_checks, cells_allocated and merge_ns count the
+	// tiled verifier's runs.
 	CounterTiledChecks           = obs.TiledChecks
 	CounterTilesChecked          = obs.TilesChecked
 	CounterBorderEdgesReconciled = obs.BorderEdgesReconciled

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"mlvlsi"
+	"mlvlsi/internal/fault"
 	"mlvlsi/internal/grid"
 	"mlvlsi/internal/route"
 )
@@ -39,8 +40,8 @@ func TestFamiliesSortedAndDocumented(t *testing.T) {
 // TestRegistryParallelMatchesSerial is the acceptance property of the
 // parallel engine: for every registered family at its (small) default size,
 // the layout built with 4 workers is byte-identical to the serial build,
-// the parallel checker returns exactly the serial checker's verdict, and
-// MaxPathWire is worker-count-invariant.
+// it verifies legal with Verify matching the map reference at every worker
+// count and ceiling, and MaxPathWire is worker-count-invariant.
 func TestRegistryParallelMatchesSerial(t *testing.T) {
 	for _, f := range mlvlsi.Families() {
 		f := f
@@ -58,14 +59,8 @@ func TestRegistryParallelMatchesSerial(t *testing.T) {
 				t.Fatal("parallel build realized different wires than serial")
 			}
 			opts := grid.CheckOptions{Layers: serialLay.L, Discipline: true, Nodes: serialLay.Nodes}
-			serialV := grid.Check(serialLay.Wires, opts)
-			if len(serialV) > 0 {
-				t.Fatalf("layout is illegal: %v", serialV[0])
-			}
-			for _, workers := range []int{1, 2, 4} {
-				if v := grid.CheckParallel(serialLay.Wires, opts, workers); !reflect.DeepEqual(v, serialV) {
-					t.Errorf("CheckParallel(workers=%d) = %v, serial Check = %v", workers, v, serialV)
-				}
+			if vs, err := fault.Differential(serialLay.Wires, opts); err != nil || len(vs) > 0 {
+				t.Fatalf("layout is illegal: %v, violations %v", err, vs)
 			}
 			w1 := route.MaxPathWire(serialLay, 8, 1)
 			for _, workers := range []int{2, 4} {

@@ -130,23 +130,28 @@ type BuildRequest struct {
 	// Execution knobs: these change how fast (or whether) the build runs,
 	// never the constructed bytes, so Key ignores them — requests differing
 	// only here share a cache slot.
-	Workers         int `json:"workers,omitempty"`
-	MaxCells        int `json:"max_cells,omitempty"`
+	Workers        int `json:"workers,omitempty"`
+	MaxCells       int `json:"max_cells,omitempty"`
+	VerifyMemBytes int `json:"verify_mem_bytes,omitempty"`
+
+	// DenseCheckCells is accepted so that existing request bodies still
+	// decode under DisallowUnknownFields, and is otherwise ignored: the
+	// verifier has a single engine and no dense-occupancy threshold.
+	//
+	// Deprecated: the knob it tuned is gone; leave it unset.
 	DenseCheckCells int `json:"dense_check_cells,omitempty"`
-	VerifyMemBytes  int `json:"verify_mem_bytes,omitempty"`
 }
 
 // Options converts the request into an Options value. Context and Observer
 // start nil — they are process-local and never travel on the wire.
 func (r BuildRequest) Options() Options {
 	return Options{
-		Layers:          r.Layers,
-		NodeSide:        r.NodeSide,
-		FoldedRows:      r.FoldedRows,
-		Workers:         r.Workers,
-		MaxCells:        r.MaxCells,
-		DenseCheckCells: r.DenseCheckCells,
-		VerifyMemBytes:  r.VerifyMemBytes,
+		Layers:         r.Layers,
+		NodeSide:       r.NodeSide,
+		FoldedRows:     r.FoldedRows,
+		Workers:        r.Workers,
+		MaxCells:       r.MaxCells,
+		VerifyMemBytes: r.VerifyMemBytes,
 	}
 }
 
