@@ -81,13 +81,14 @@ type Options struct {
 	// constructed layouts and all verification results are identical with
 	// and without an observer.
 	Observer *Observer
-	// Scratch, when non-nil, selects the arena build path: per-phase
-	// allocations are drawn from the scratch's reusable slabs, taking a
-	// large build from tens of thousands of allocations to a handful. The
-	// constructed layout is byte-identical to the default allocating path
-	// and aliases nothing in the scratch, so the scratch may be reused for
-	// the next build immediately — but never by two builds concurrently.
-	// See NewBuildScratch and DESIGN.md §9 for the ownership contract.
+	// Scratch, when non-nil, is a caller-owned arena the build draws its
+	// per-phase allocations from, kept warm across the caller's builds and
+	// reported in the scratch counters. Nil — the default — borrows a pooled
+	// scratch for the length of the build; the layout is the same either
+	// way. The constructed layout aliases nothing in the scratch, so the
+	// scratch may be reused for the next build immediately — but never by
+	// two builds concurrently. See NewBuildScratch and DESIGN.md §9 for the
+	// ownership contract.
 	Scratch *BuildScratch
 }
 

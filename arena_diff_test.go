@@ -1,42 +1,26 @@
 package mlvlsi
 
 import (
-	"reflect"
 	"testing"
 
 	"mlvlsi/internal/fault"
+	"mlvlsi/internal/golden"
 )
 
-// TestArenaDifferentialAllFamilies is the acceptance differential for the
-// arena build path: for every registered family at its default parameters,
-// the layout built through a shared scratch must be deep-equal to the legacy
-// map-path layout — wires, nodes, stats, memory footprint. One scratch
-// serves all families in sequence, so slabs sized by one topology are reused
-// (and re-sliced) by the next; any stale-state or under-reset bug shows up
-// as a diff. The content key needs no separate assertion: Key is derived
-// from the request, never from the built bytes, so equal requests share a
-// key by construction and this test proves the bytes behind that key match.
+// TestArenaDifferentialAllFamilies is the acceptance differential for
+// caller-owned scratches: every golden layout built through one shared
+// scratch must match its recorded digest. The scratch serves all families in
+// sequence, so slabs sized by one topology are reused (and re-sliced) by the
+// next; any stale-state or under-reset bug shows up as a digest diff. The
+// content key needs no separate assertion: Key is derived from the request,
+// never from the built bytes, so equal requests share a key by construction
+// and this test proves the bytes behind that key match.
 func TestArenaDifferentialAllFamilies(t *testing.T) {
-	scratch := NewBuildScratch()
-	for _, fam := range Families() {
-		want, err := BuildFamily(FamilySpec{Name: fam.Name}, Options{})
-		if err != nil {
-			t.Fatalf("%s: legacy build: %v", fam.Name, err)
-		}
-		got, err := BuildFamily(FamilySpec{Name: fam.Name}, Options{Scratch: scratch})
-		if err != nil {
-			t.Fatalf("%s: arena build: %v", fam.Name, err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("%s: arena layout differs from legacy", fam.Name)
-		}
-		if want.Stats() != got.Stats() {
-			t.Errorf("%s: stats differ: legacy %v, arena %v", fam.Name, want.Stats(), got.Stats())
-		}
-		if want.MemBytes() != got.MemBytes() {
-			t.Errorf("%s: mem bytes differ: legacy %d, arena %d", fam.Name, want.MemBytes(), got.MemBytes())
-		}
+	got, err := buildGoldens(Options{Scratch: NewBuildScratch()})
+	if err != nil {
+		t.Fatal(err)
 	}
+	golden.Compare(t, golden.Read(t, goldenPath), got)
 }
 
 // TestChaosSweepArenaBuilt repeats the metamorphic chaos sweep on

@@ -18,15 +18,15 @@ import (
 // cancellation marks every unprocessed item with an error wrapping
 // ErrCanceled.
 
-// BuildScratch is a reusable allocation arena for the build engine. Passing
-// one via Options.Scratch (or implicitly through BuildBatch/VerifyBatch)
-// moves per-build allocations into reusable slabs: a large build drops from
-// tens of thousands of allocations to a handful, with a byte-identical
-// layout. A scratch is owned by one build at a time — reuse it across
-// sequential builds freely, but never share it between concurrent ones. The
-// layouts it helps build alias nothing inside it (DESIGN.md §9), so
-// reaching the next build requires no quiescence beyond the builds being
-// ordered.
+// BuildScratch is a reusable allocation arena for the build engine. Every
+// build draws its per-phase allocations from one; passing your own via
+// Options.Scratch (or implicitly through BuildBatch/VerifyBatch) keeps its
+// slabs warm across your builds and reports them in the scratch counters,
+// where a build without one borrows a pooled scratch. A scratch is owned by
+// one build at a time — reuse it across sequential builds freely, but never
+// share it between concurrent ones. The layouts it helps build alias nothing
+// inside it (DESIGN.md §9), so reaching the next build requires no
+// quiescence beyond the builds being ordered.
 type BuildScratch struct {
 	s core.BuildScratch
 }
@@ -36,7 +36,7 @@ type BuildScratch struct {
 func NewBuildScratch() *BuildScratch { return &BuildScratch{} }
 
 // inner unwraps to the engine's scratch type; nil-safe so a nil
-// *BuildScratch selects the engine's default allocating path.
+// *BuildScratch leaves the engine to borrow a pooled scratch.
 func (s *BuildScratch) inner() *core.BuildScratch {
 	if s == nil {
 		return nil

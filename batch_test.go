@@ -181,7 +181,7 @@ func TestBatchContainsPanics(t *testing.T) {
 
 // BenchmarkBuildBatch and BenchmarkBuildSequential are the batch acceptance
 // pair: the same 64 mixed requests through BuildBatch (one shared scratch)
-// and through 64 independent BuildSpec calls (the legacy path). Run with
+// and through 64 independent BuildSpec calls (pooled scratches). Run with
 // -benchmem; BENCH_8.json records both at 1 and 4 workers.
 func benchReqs() []BuildRequest {
 	reqs := make([]BuildRequest, 64)

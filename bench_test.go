@@ -340,8 +340,8 @@ func BenchmarkMaxPathWireParallel(b *testing.B) {
 
 // Serial-vs-parallel wire realization (the build-side half of the engine).
 // The spec is assembled once outside the loop — assembly is cheap, identical
-// on every path, and excluding it keeps these comparable with the arena
-// benchmarks in internal/core (BenchmarkBuildLegacy/Scratch/Transient).
+// on every path, and excluding it keeps these comparable with the scratch
+// benchmarks in internal/core (BenchmarkBuildPooled/Scratch/Transient).
 func benchBuildHypercube(b *testing.B, workers int) {
 	b.Helper()
 	spec := core.HypercubeSpec(10, 4, 0)

@@ -12,15 +12,15 @@
 // check/serial, the *-sparse map-checker records and memceil/*/dense, whose
 // engines the single tiled verifier replaced.
 //
-// Since BENCH_8 the build records measure a prebuilt spec (spec assembly is
-// cheap and identical on both paths), and "build/hypercube" is the arena
-// build — a reused scratch, the production configuration of the batch APIs
-// and the daemon — while "build/hypercube-legacy" keeps the allocating map
-// path as the in-snapshot baseline. Earlier snapshots' "build/hypercube"
-// was the map path including spec assembly, so compare those against
-// today's -legacy record. The batch/* pair measures the same 64 mixed
-// requests through BuildBatch (one shared scratch) and through sequential
-// BuildSpec calls.
+// Since BENCH_8 the build records measure a prebuilt spec, and
+// "build/hypercube" is a build on a reused caller-owned scratch, the
+// production configuration of the batch APIs and the daemon. Earlier
+// snapshots' "build/hypercube" was the allocating map path including spec
+// assembly. BENCH_8 and BENCH_10 also carry "build/hypercube-legacy", that
+// map path on a prebuilt spec; the engine no longer has it, and a build
+// without a caller scratch now borrows a pooled one. The batch/* pair
+// measures the same 64 mixed requests through BuildBatch (one shared
+// scratch) and through sequential BuildSpec calls.
 //
 // Since BENCH_10 the memceil/* records track the ROADMAP's memory-ceiling
 // story: for each hypercube dimension, one verify under a ceiling a quarter
@@ -145,12 +145,12 @@ func main() {
 	}
 	buildSpec := core.HypercubeSpec(buildDim, 4, 0)
 	scratch := core.NewBuildScratch()
-	build := func(workers int, sc *core.BuildScratch) func(b *testing.B) {
+	build := func(workers int) func(b *testing.B) {
 		return func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s := buildSpec
 				s.Workers = workers
-				s.Scratch = sc
+				s.Scratch = scratch
 				if _, err := core.Build(s); err != nil {
 					fatal(err)
 				}
@@ -189,10 +189,8 @@ func main() {
 	for _, w := range []int{1, 4} {
 		run("check/parallel", w, check(w))
 	}
-	run("build/hypercube", 1, build(1, scratch))
-	run("build/hypercube", 4, build(4, scratch))
-	run("build/hypercube-legacy", 1, build(1, nil))
-	run("build/hypercube-legacy", 4, build(4, nil))
+	run("build/hypercube", 1, build(1))
+	run("build/hypercube", 4, build(4))
 	for _, w := range []int{1, 4} {
 		run("batch/sequential", w, batchSequential(w))
 		run("batch/build", w, batchBuild(w))

@@ -1,12 +1,11 @@
 // Arena-backed build scratch. A BuildScratch gives the engine reusable,
-// size-classed slabs for every per-phase allocation the map path makes fresh
-// on each call — the label bijection bitmap, the interval-disjointness
-// tuples, per-node port demand and port items, per-channel track indexes,
-// grid prefix sums, and the flat point slab behind every wire path. Threaded
-// through build() it takes a Hypercube(10) build from ~27k allocations to a
-// dozen; the map path (Spec.Scratch == nil) is preserved unchanged as the
-// reference implementation, and the differential tests pin the two paths to
-// byte-identical layouts.
+// size-classed slabs for every per-phase allocation — the label bijection
+// bitmap, the interval-disjointness tuples, per-node port demand and port
+// items, per-channel track indexes, and grid prefix sums — so a
+// Hypercube(10) build runs in about fifteen allocations. Every build runs on
+// one: the caller's own (Spec.Scratch), reused across its builds and
+// accounted in the scratch counters, or, when Spec.Scratch is nil, one
+// borrowed from scratchPool for the length of the build.
 //
 // Ownership contract (DESIGN.md §9): by default a layout built with a
 // scratch aliases nothing in it — the layout struct, node slice, wire slice,
@@ -14,14 +13,37 @@
 // outright, so the scratch may be reset (reused) immediately. In transient
 // mode (SetTransient) even those come from the scratch: the returned layout
 // is only valid until the next build on the same scratch, the regime the
-// VerifyBatch pipeline runs in, where layouts are verified and dropped.
+// VerifyBatch pipeline runs in, where layouts are verified and dropped. A
+// pooled scratch is never transient.
 package core
 
 import (
+	"sync"
+
 	"mlvlsi/internal/grid"
 	"mlvlsi/internal/layout"
 	"mlvlsi/internal/obs"
 )
+
+// scratchPool supplies the scratch of every build whose Spec.Scratch is nil.
+// It must stay a sync.Pool rather than a retained free list: a GC empties
+// it, so a process that has stopped building keeps no scratch alive.
+var scratchPool = sync.Pool{New: func() any { return &BuildScratch{pooled: true} }}
+
+// acquireScratch returns the scratch a build runs on: own when the caller
+// supplied one, otherwise a pooled scratch, which releaseScratch returns.
+func acquireScratch(own *BuildScratch) *BuildScratch {
+	if own != nil {
+		return own
+	}
+	return scratchPool.Get().(*BuildScratch)
+}
+
+func releaseScratch(s *BuildScratch) {
+	if s.pooled {
+		scratchPool.Put(s)
+	}
+}
 
 // slab is a bump allocator over one backing array of T. take hands out
 // aliased subslices until the array is exhausted, then replaces it with one
@@ -57,9 +79,8 @@ func (s *slab[T]) take(n int, zero bool) []T {
 
 func (s *slab[T]) reset() { s.off = 0 }
 
-// ivRec is one half-position track interval for the scratch-path overlap
-// check: the flat, sortable form of the map path's per-(channel, track)
-// interval lists.
+// ivRec is one half-position track interval for the overlap check, in the
+// flat form scanOverlaps sorts by (channel, track, u, v).
 type ivRec struct {
 	ch, track int
 	u, v      int
@@ -73,6 +94,7 @@ type ivRec struct {
 type BuildScratch struct {
 	transient bool
 	warm      bool
+	pooled    bool // owned by scratchPool: safe mode, no scratch counters
 
 	ints    slab[int]
 	i32     slab[int32]
@@ -144,35 +166,42 @@ func (s *BuildScratch) Bytes() int64 {
 }
 
 // beginBuild readies the scratch for one build and accounts the reuse: the
-// first build on a scratch is a warm-up, every later one is a scratch_reuse.
+// first build on a caller-owned scratch is a warm-up, every later one is a
+// scratch_reuse. Pooled scratches stay out of the scratch counters, which
+// describe caller-owned scratches.
 func (s *BuildScratch) beginBuild(o *obs.Observer) {
 	s.Reset()
+	if s.pooled {
+		return
+	}
 	if s.warm {
 		o.Add(obs.ScratchReuses, 1)
 	}
 	s.warm = true
 }
 
-// trackTable maps (channel, track) to its assignment. The map path stores a
-// hash map; the scratch path stores, per channel, the sorted unique track
-// ids (a shared segment of the scratch int slab) plus a parallel assignment
-// slab, answered by binary search in lookup.
-type trackTable struct {
-	m map[key]trackAssign
+// noteBytes sets the scratch_bytes gauge after a successful build on a
+// caller-owned scratch.
+func (s *BuildScratch) noteBytes(o *obs.Observer) {
+	if !s.pooled {
+		o.Set(obs.ScratchBytes, s.Bytes())
+	}
+}
 
+// trackTable maps (channel, track) to its assignment. It stores, per
+// channel, the sorted unique track ids (a shared segment of the scratch int
+// slab) plus a parallel assignment slab, answered by binary search in
+// lookup.
+type trackTable struct {
 	starts  []int32 // per-channel segment offsets into ids/as (len channels+1)
 	uniqLen []int32 // sorted-unique prefix length of each segment
 	ids     []int
 	as      []trackAssign
 }
 
-// set records the assignment of uniq[idx] == track in channel ch; idx is the
-// track's index within the channel's sorted unique ids.
-func (t *trackTable) set(ch, idx, track int, a trackAssign) {
-	if t.m != nil {
-		t.m[key{ch, track}] = a
-		return
-	}
+// set records the assignment of the track at index idx of channel ch's
+// sorted unique ids.
+func (t *trackTable) set(ch, idx int, a trackAssign) {
 	t.as[int(t.starts[ch])+idx] = a
 }
 
@@ -182,9 +211,6 @@ func (t *trackTable) set(ch, idx, track int, a trackAssign) {
 //
 //mlvlsi:hotpath
 func (t *trackTable) lookup(ch, track int) trackAssign {
-	if t.m != nil {
-		return t.m[key{ch, track}]
-	}
 	lo := int(t.starts[ch])
 	hi := lo + int(t.uniqLen[ch])
 	for lo < hi {
@@ -198,19 +224,15 @@ func (t *trackTable) lookup(ch, track int) trackAssign {
 	return t.as[lo]
 }
 
-// portTable maps a wire end to its port offset within the node side. The map
-// path hashes endRef; the scratch path indexes a dense table laid out as
-// [row-edge ends ×2 | column-edge ends ×2 | bent U ends | bent V ends].
+// portTable maps a wire end to its port offset within the node side: a dense
+// table laid out as [row-edge ends ×2 | column-edge ends ×2 | bent U ends |
+// bent V ends].
 type portTable struct {
-	m          map[endRef]int
 	dense      []int32
 	nRow, nCol int
 }
 
 func newPortTable(s *BuildScratch, nRow, nCol, nBent int) *portTable {
-	if s == nil {
-		return &portTable{m: make(map[endRef]int)}
-	}
 	return &portTable{
 		dense: s.i32.take(2*nRow+2*nCol+2*nBent, false),
 		nRow:  nRow, nCol: nCol,
@@ -239,10 +261,6 @@ func (p *portTable) index(ref endRef) int {
 }
 
 func (p *portTable) set(ref endRef, off int) {
-	if p.m != nil {
-		p.m[ref] = off
-		return
-	}
 	p.dense[p.index(ref)] = int32(off)
 }
 
@@ -251,18 +269,13 @@ func (p *portTable) set(ref endRef, off int) {
 //
 //mlvlsi:hotpath
 func (p *portTable) port(ref endRef) int {
-	if p.m != nil {
-		return p.m[ref]
-	}
 	return int(p.dense[p.index(ref)])
 }
 
-// endsTable collects the per-node wire-end items for port assignment. The
-// map path appends to per-node slices; the scratch path count-then-fills one
-// flat slab using the already-computed per-node port demand as the counts.
+// endsTable collects the per-node wire-end items for port assignment: it
+// count-then-fills one flat slab using the already-computed per-node port
+// demand as the counts.
 type endsTable struct {
-	perNode [][]portItem
-
 	flat   []portItem
 	starts []int32
 	next   []int32
@@ -283,17 +296,10 @@ func (t *endsTable) init(s *BuildScratch, counts []int) {
 }
 
 func (t *endsTable) add(node int, it portItem) {
-	if t.perNode != nil {
-		t.perNode[node] = append(t.perNode[node], it)
-		return
-	}
 	t.flat[t.next[node]] = it
 	t.next[node]++
 }
 
 func (t *endsTable) seg(node int) []portItem {
-	if t.perNode != nil {
-		return t.perNode[node]
-	}
 	return t.flat[t.starts[node]:t.next[node]]
 }

@@ -14,13 +14,10 @@
 // at their two ends (bent edges); and the folded/enhanced hypercubes'
 // diameter links (§5.3) as bent edges on dedicated tracks.
 //
-// The build path runs in one of two allocation regimes sharing one
-// algorithm: the map path (Spec.Scratch nil) allocates fresh maps and
-// per-wire paths on every call, and the arena path draws every per-phase
-// structure from a reusable BuildScratch (see arena.go). The phase logic —
-// validation, track placement, port assignment, realization — is shared
-// code parameterized over the storage backends, so the two regimes produce
-// byte-identical layouts; the differential tests pin that.
+// Every build draws its per-phase structures from a BuildScratch arena (see
+// arena.go): the caller's own when Spec.Scratch is set, otherwise one taken
+// from a package pool for the length of the build. Either way the engine
+// runs one code path, and golden digests under testdata pin what it builds.
 package core
 
 import (
@@ -92,17 +89,18 @@ type Spec struct {
 	MaxCells int
 	// Obs, when non-nil, receives build telemetry: a "build" span with
 	// placement, routing, and realization children plus the typed counters
-	// (wires realized, cells planned, budget headroom, worker count, and on
-	// the arena path scratch reuses and retained bytes). Nil — the default —
-	// disables instrumentation entirely; the realize loop is untouched
-	// either way, since spans and counters live on the phase boundaries,
-	// not in per-wire code.
+	// (wires realized, cells planned, budget headroom, worker count, and for
+	// a caller-owned scratch its reuses and retained bytes). Nil — the
+	// default — disables instrumentation entirely; the realize loop is
+	// untouched either way, since spans and counters live on the phase
+	// boundaries, not in per-wire code.
 	Obs *obs.Observer
-	// Scratch, when non-nil, selects the arena build path: every per-phase
-	// allocation is drawn from the scratch's reusable slabs and the build
-	// runs in a handful of allocations instead of tens of thousands. Nil —
-	// the default — selects the allocating map path; the two paths build
-	// byte-identical layouts. A scratch must not be shared by concurrent
+	// Scratch, when non-nil, is a caller-owned arena the build draws its
+	// per-phase allocations from, reused across the caller's builds and
+	// accounted in the scratch counters; only a caller-owned scratch can run
+	// in transient mode. Nil — the default — borrows a pooled scratch for
+	// the length of the build, in safe mode and outside the counters. Both
+	// build the same layout. A scratch must not be shared by concurrent
 	// builds; see BuildScratch for the ownership contract.
 	Scratch *BuildScratch
 	// Label maps grid position to node label (a bijection onto
@@ -144,8 +142,6 @@ type portItem struct {
 	ref  endRef
 }
 
-type key struct{ index, track int }
-
 // Build realizes the spec as a concrete multilayer layout. The returned
 // layout passes layout.Verify for every legal spec; Build itself validates
 // spec-level invariants (ranges, track interval disjointness, port
@@ -186,10 +182,9 @@ func build(spec Spec, realize bool) (*layout.Layout, Geometry, error) {
 	if err := par.Canceled(spec.Ctx); err != nil {
 		return nil, geom, err
 	}
-	s := spec.Scratch
-	if s != nil {
-		s.beginBuild(spec.Obs)
-	}
+	s := acquireScratch(spec.Scratch)
+	defer releaseScratch(s)
+	s.beginBuild(spec.Obs)
 	root := spec.Obs.StartSpan("build")
 	root.SetAttr("rows", int64(spec.Rows)).SetAttr("cols", int64(spec.Cols)).SetAttr("layers", int64(spec.L))
 	defer root.End()
@@ -211,14 +206,8 @@ func build(spec Spec, realize bool) (*layout.Layout, Geometry, error) {
 	}
 
 	// Port demand per node.
-	var top, right []int
-	if s != nil {
-		top = s.ints.take(n, true)
-		right = s.ints.take(n, true)
-	} else {
-		top = make([]int, n)   // ports on the node's top edge
-		right = make([]int, n) // ports on the node's right edge
-	}
+	top := s.ints.take(n, true)   // ports on the node's top edge
+	right := s.ints.take(n, true) // ports on the node's right edge
 	at := func(r, c int) int { return r*spec.Cols + c }
 	for _, e := range spec.RowEdges {
 		top[at(e.Index, e.U)]++
@@ -258,14 +247,8 @@ func build(spec Spec, realize bool) (*layout.Layout, Geometry, error) {
 	rowT, colT, hSlots, wSlots := assignTracks(&spec, s, gH, gV)
 
 	// Grid coordinates.
-	var rowY, colX []int
-	if s != nil {
-		rowY = s.ints.take(spec.Rows+1, false)
-		colX = s.ints.take(spec.Cols+1, false)
-	} else {
-		rowY = make([]int, spec.Rows+1)
-		colX = make([]int, spec.Cols+1)
-	}
+	rowY := s.ints.take(spec.Rows+1, false)
+	colX := s.ints.take(spec.Cols+1, false)
 	rowY[0] = 0
 	for i := 0; i < spec.Rows; i++ {
 		rowY[i+1] = rowY[i] + side + 1 + hSlots[i]
@@ -313,15 +296,10 @@ func build(spec Spec, realize bool) (*layout.Layout, Geometry, error) {
 	// leaving toward the higher side, keeping same-track trunk intervals
 	// interior-disjoint in realized coordinates. The per-node port demand
 	// computed above doubles as the exact item count per node, which is
-	// what lets the arena path count-then-fill one flat slab.
+	// what lets the ends tables count-then-fill one flat slab.
 	var topEnds, rightEnds endsTable
-	if s != nil {
-		topEnds.init(s, top)
-		rightEnds.init(s, right)
-	} else {
-		topEnds.perNode = make([][]portItem, n)
-		rightEnds.perNode = make([][]portItem, n)
-	}
+	topEnds.init(s, top)
+	rightEnds.init(s, right)
 	for i, e := range spec.RowEdges {
 		r := rowT.lookup(e.Index, e.Track).order()
 		topEnds.add(at(e.Index, e.U), portItem{dir: 1, rank: r, ref: endRef{0, i, false}})
@@ -377,16 +355,16 @@ func build(spec Spec, realize bool) (*layout.Layout, Geometry, error) {
 	// fixed row-edges, column-edges, bent-edges order, making the result
 	// byte-identical to the serial loop for every worker count.
 	//
-	// Result allocation: the map path and the default arena path hand out
-	// fresh memory (on the arena path the wire paths share one fresh point
-	// slab, with identical MemBytes since every subslice's cap equals its
-	// length); a transient-mode scratch backs even the results, for callers
-	// that drop each layout before the next build.
+	// Result allocation: safe mode hands out fresh memory, with the wire
+	// paths carved from one fresh point slab (every subslice's cap equals
+	// its length, so MemBytes counts exactly the points); a transient-mode
+	// scratch backs even the results, for callers that drop each layout
+	// before the next build.
 	nRow, nCol, nBent := len(spec.RowEdges), len(spec.ColEdges), len(spec.Bent)
 	nPts := (nRow+nCol)*8 + nBent*10
 	var lay *layout.Layout
 	var pts []grid.Point
-	if s != nil && s.transient {
+	if s.transient {
 		lay = &s.lay
 		*lay = layout.Layout{Name: spec.Name, L: spec.L}
 		lay.Nodes = s.rects.take(n, false)
@@ -396,18 +374,11 @@ func build(spec Spec, realize bool) (*layout.Layout, Geometry, error) {
 		lay = &layout.Layout{Name: spec.Name, L: spec.L}
 		lay.Nodes = make([]grid.Rect, n)
 		lay.Wires = make([]grid.Wire, nRow+nCol+nBent)
-		if s != nil {
-			pts = make([]grid.Point, nPts)
-		}
+		pts = make([]grid.Point, nPts)
 	}
 	// Labels are tabulated up front: Spec.Label closures need not be
 	// goroutine-safe, so the parallel loop below only reads this table.
-	var labelAt []int
-	if s != nil {
-		labelAt = s.ints.take(n, false)
-	} else {
-		labelAt = make([]int, n)
-	}
+	labelAt := s.ints.take(n, false)
 	for r := 0; r < spec.Rows; r++ {
 		for c := 0; c < spec.Cols; c++ {
 			l := label(r, c)
@@ -428,17 +399,14 @@ func build(spec Spec, realize bool) (*layout.Layout, Geometry, error) {
 		return nil, geom, err
 	}
 	spec.Obs.Add(obs.WiresRealized, int64(len(lay.Wires)))
-	if s != nil {
-		spec.Obs.Set(obs.ScratchBytes, s.Bytes())
-	}
+	s.noteBytes(spec.Obs)
 	real.SetAttr("wires", int64(len(lay.Wires))).End()
 	return lay, geom, nil
 }
 
 // realizeCtx is the read-only state of the parallel realize loop: edge
-// lists, track and port tables, grid prefix sums, and the output wire slice.
-// pts, when non-nil, is the flat point slab the arena path carves wire paths
-// from; nil makes realize allocate each path, the map path's behavior.
+// lists, track and port tables, grid prefix sums, and the output wire slice
+// and point slab the wire paths are carved from.
 type realizeCtx struct {
 	rowEdges []ChannelEdge
 	colEdges []ChannelEdge
@@ -458,16 +426,12 @@ type realizeCtx struct {
 }
 
 func (rc *realizeCtx) path(off, n int) []grid.Point {
-	if rc.pts == nil {
-		return make([]grid.Point, n)
-	}
 	return rc.pts[off : off+n : off+n]
 }
 
 // realize computes wire id's eight- or ten-point path. It runs once per edge
 // under the par pool and accounts for most of the build, so it stays free of
-// maps (on the arena path), fmt, and per-wire allocation beyond the map
-// path's deliberate per-path make.
+// maps, fmt, and allocation.
 //
 //mlvlsi:hotpath
 func (rc *realizeCtx) realize(id int) {
@@ -560,7 +524,7 @@ func vLayerOf(a trackAssign, L int) (layerV, layerH, slot int) {
 // sortPortItems stable-sorts a node's wire ends by (dir, rank): an insertion
 // sort, because the per-node item count is bounded by the node side and a
 // stable sort is unique — the result is identical to sort.SliceStable on
-// either build path, without its allocations.
+// the same order, without its allocations.
 func sortPortItems(items []portItem) {
 	for i := 1; i < len(items); i++ {
 		it := items[i]
@@ -670,69 +634,24 @@ func bentPins(spec *Spec, gH, gV int) pinFunc {
 }
 
 // assignTracks distributes each channel's tracks over layer groups, filling
-// the two track tables and returning the per-channel slot counts. Both
-// backends collect each channel's track ids (the map path into per-channel
-// slices, the arena path into counted slab segments), sort-uniq them with
-// the shared sortUniq, and place them with the shared placeChannel, so the
-// assignment cannot diverge between the paths.
+// the two track tables and returning the per-channel slot counts. Each
+// channel's track ids are collected into a counted slab segment, sort-uniqed,
+// and placed by placeChannel.
 func assignTracks(spec *Spec, s *BuildScratch, gH, gV int) (rowT, colT *trackTable, hSlots, wSlots []int) {
 	pin := bentPins(spec, gH, gV)
 	// The slot-count slices are referenced by the returned Geometry, so
-	// they are allocated fresh on both paths.
+	// they are allocated fresh.
 	hSlots = make([]int, spec.Rows)
 	wSlots = make([]int, spec.Cols)
 	gMax := gH
 	if gV > gMax {
 		gMax = gV
 	}
-	var load []int
-	if s != nil {
-		load = s.ints.take(gMax, false)
-	} else {
-		load = make([]int, gMax)
-	}
+	load := s.ints.take(gMax, false)
 	var free []int
 
-	if s == nil {
-		rowT = &trackTable{m: make(map[key]trackAssign)}
-		colT = &trackTable{m: make(map[key]trackAssign)}
-		rowIDs := make([][]int, spec.Rows)
-		colIDs := make([][]int, spec.Cols)
-		for _, e := range spec.RowEdges {
-			rowIDs[e.Index] = append(rowIDs[e.Index], e.Track)
-		}
-		for _, e := range spec.ColEdges {
-			colIDs[e.Index] = append(colIDs[e.Index], e.Track)
-		}
-		for _, e := range spec.Bent {
-			rowIDs[e.URow] = append(rowIDs[e.URow], e.HTrack)
-			colIDs[e.VCol] = append(colIDs[e.VCol], e.VTrack)
-		}
-		for ch, tracks := range rowIDs {
-			hSlots[ch], free = placeChannel(rowT, false, ch, sortUniq(tracks), gH, pin, load[:gH], free)
-		}
-		for ch, tracks := range colIDs {
-			wSlots[ch], free = placeChannel(colT, true, ch, sortUniq(tracks), gV, pin, load[:gV], free)
-		}
-		return rowT, colT, hSlots, wSlots
-	}
-
-	rowT = scratchTracks(s, spec.Rows, func(emit func(ch, t int)) {
-		for _, e := range spec.RowEdges {
-			emit(e.Index, e.Track)
-		}
-		for _, e := range spec.Bent {
-			emit(e.URow, e.HTrack)
-		}
-	})
-	colT = scratchTracks(s, spec.Cols, func(emit func(ch, t int)) {
-		for _, e := range spec.ColEdges {
-			emit(e.Index, e.Track)
-		}
-		for _, e := range spec.Bent {
-			emit(e.VCol, e.VTrack)
-		}
-	})
+	rowT = channelTracks(s, spec.Rows, spec.RowEdges, spec.Bent, false)
+	colT = channelTracks(s, spec.Cols, spec.ColEdges, spec.Bent, true)
 	for ch := 0; ch < spec.Rows; ch++ {
 		uniq := sortUniq(rowT.seg(ch))
 		rowT.uniqLen[ch] = int32(len(uniq))
@@ -751,12 +670,18 @@ func (t *trackTable) seg(ch int) []int {
 	return t.ids[t.starts[ch]:t.starts[ch+1]]
 }
 
-// scratchTracks count-then-fills the per-channel track-id segments of a
-// scratch-backed track table: visit enumerates every (channel, track)
-// occurrence twice, once to size the segments and once to fill them.
-func scratchTracks(s *BuildScratch, nCh int, visit func(emit func(ch, t int))) *trackTable {
+// channelTracks count-then-fills the per-channel track-id segments of one
+// direction's track table from its channel edges and the matching segments
+// of the bent edges (vertical ones when isCol).
+func channelTracks(s *BuildScratch, nCh int, edges []ChannelEdge, bent []BentEdge, isCol bool) *trackTable {
 	counts := s.ints.take(nCh, true)
-	visit(func(ch, t int) { counts[ch]++ })
+	for _, e := range edges {
+		counts[e.Index]++
+	}
+	for _, e := range bent {
+		ch, _ := bentTrack(e, isCol)
+		counts[ch]++
+	}
 	t := &trackTable{
 		starts:  s.i32.take(nCh+1, false),
 		uniqLen: s.i32.take(nCh, false),
@@ -772,11 +697,25 @@ func scratchTracks(s *BuildScratch, nCh int, visit func(emit func(ch, t int))) *
 	for ch := range counts {
 		counts[ch] = int(t.starts[ch]) // reuse as fill cursors
 	}
-	visit(func(ch, tr int) {
+	for _, e := range edges {
+		t.ids[counts[e.Index]] = e.Track
+		counts[e.Index]++
+	}
+	for _, e := range bent {
+		ch, tr := bentTrack(e, isCol)
 		t.ids[counts[ch]] = tr
 		counts[ch]++
-	})
+	}
 	return t
+}
+
+// bentTrack returns the channel and track id of bent edge e's horizontal
+// segment, or of its vertical one when isCol.
+func bentTrack(e BentEdge, isCol bool) (ch, track int) {
+	if isCol {
+		return e.VCol, e.VTrack
+	}
+	return e.URow, e.HTrack
 }
 
 // sortUniq sorts a channel's track ids in place and compacts duplicates,
@@ -807,22 +746,22 @@ func lightest(load []int) int {
 
 // placeChannel assigns one channel's sorted unique tracks to layer groups:
 // pinned (bent) tracks first in track order, then free tracks onto the
-// lightest group, matching the original map-path order exactly. free is a
-// reusable index buffer threaded through the caller's loop; the returned
-// max per-group load is the channel's slot count.
+// lightest group. free is a reusable index buffer threaded through the
+// caller's loop; the returned max per-group load is the channel's slot
+// count.
 func placeChannel(tab *trackTable, isCol bool, ch int, uniq []int, groups int, pin pinFunc, load, free []int) (int, []int) {
 	clear(load)
 	if pin == nil {
-		for i, t := range uniq {
+		for i := range uniq {
 			g := lightest(load)
-			tab.set(ch, i, t, trackAssign{group: g, slot: load[g]})
+			tab.set(ch, i, trackAssign{group: g, slot: load[g]})
 			load[g]++
 		}
 	} else {
 		free = free[:0]
 		for i, t := range uniq {
 			if g, ok := pin(isCol, ch, t); ok {
-				tab.set(ch, i, t, trackAssign{group: g, slot: load[g]})
+				tab.set(ch, i, trackAssign{group: g, slot: load[g]})
 				load[g]++
 			} else {
 				free = append(free, i)
@@ -830,7 +769,7 @@ func placeChannel(tab *trackTable, isCol bool, ch int, uniq []int, groups int, p
 		}
 		for _, i := range free {
 			g := lightest(load)
-			tab.set(ch, i, uniq[i], trackAssign{group: g, slot: load[g]})
+			tab.set(ch, i, trackAssign{group: g, slot: load[g]})
 			load[g]++
 		}
 	}
@@ -844,12 +783,7 @@ func placeChannel(tab *trackTable, isCol bool, ch int, uniq []int, groups int, p
 }
 
 func checkLabels(spec Spec, label func(int, int) int, n int, s *BuildScratch) error {
-	var seen []bool
-	if s != nil {
-		seen = s.bools.take(n, true)
-	} else {
-		seen = make([]bool, n)
-	}
+	seen := s.bools.take(n, true)
 	for r := 0; r < spec.Rows; r++ {
 		for c := 0; c < spec.Cols; c++ {
 			l := label(r, c)
@@ -862,10 +796,15 @@ func checkLabels(spec Spec, label func(int, int) int, n int, s *BuildScratch) er
 	return nil
 }
 
-// checkEdgeRanges validates edge coordinate ranges in declaration order —
-// row edges, column edges, bent edges — with the same messages on both
-// build paths.
-func checkEdgeRanges(spec *Spec) error {
+// checkEdges validates edge coordinate ranges in declaration order — row
+// edges, column edges, bent edges — and then per-(channel, track) interval
+// disjointness. Intervals are measured in half-positions so that bent-edge
+// segments, which end inside a channel rather than at a node, can share
+// tracks with channel edges safely: position p maps to 2p (node) and the
+// channel right of / above p maps to 2p+1. Each direction's intervals go
+// into one flat tuple slab, sorted by (channel, track, u, v), so the overlap
+// reported is always the one in the lowest (channel, track).
+func checkEdges(spec *Spec, s *BuildScratch) error {
 	for i, e := range spec.RowEdges {
 		if e.Index < 0 || e.Index >= spec.Rows {
 			return fmt.Errorf("%s: row edge %d channel %d out of range", spec.Name, i, e.Index)
@@ -891,90 +830,7 @@ func checkEdgeRanges(spec *Spec) error {
 			return fmt.Errorf("%s: bent edge %d is a self-loop", spec.Name, i)
 		}
 	}
-	return nil
-}
 
-// checkEdges validates ranges and per-(channel, track) interval
-// disjointness. Intervals are measured in half-positions so that bent-edge
-// segments, which end inside a channel rather than at a node, can share
-// tracks with channel edges safely: position p maps to 2p (node) and the
-// channel right of / above p maps to 2p+1. The map path groups intervals in
-// per-key hash maps; the arena path sorts one flat tuple slab per direction
-// and scans runs — both enforce the identical overlap rule.
-func checkEdges(spec *Spec, s *BuildScratch) error {
-	if err := checkEdgeRanges(spec); err != nil {
-		return err
-	}
-	if s != nil {
-		return checkOverlapsFlat(spec, s)
-	}
-
-	type iv struct{ u, v int }
-	rowIv := make(map[key][]iv)
-	colIv := make(map[key][]iv)
-	for _, e := range spec.RowEdges {
-		k := key{e.Index, e.Track}
-		rowIv[k] = append(rowIv[k], iv{2 * e.U, 2 * e.V})
-	}
-	for _, e := range spec.ColEdges {
-		k := key{e.Index, e.Track}
-		colIv[k] = append(colIv[k], iv{2 * e.U, 2 * e.V})
-	}
-	for _, e := range spec.Bent {
-		hu, hv, vu, vv := bentHalfIntervals(e)
-		hk := key{e.URow, e.HTrack}
-		rowIv[hk] = append(rowIv[hk], iv{hu, hv})
-		vk := key{e.VCol, e.VTrack}
-		colIv[vk] = append(colIv[vk], iv{vu, vv})
-	}
-
-	checkDisjoint := func(m map[key][]iv, what string) error {
-		for k, ivs := range m {
-			sort.Slice(ivs, func(a, b int) bool {
-				if ivs[a].u != ivs[b].u {
-					return ivs[a].u < ivs[b].u
-				}
-				return ivs[a].v < ivs[b].v
-			})
-			for i := 1; i < len(ivs); i++ {
-				// Touching at a node (even half-position) is safe: distinct
-				// ports order the realized endpoints. Touching inside a
-				// channel (odd half-position) is not, since both segments
-				// end at track-slot coordinates that need not be ordered.
-				if ivs[i].u < ivs[i-1].v || (ivs[i].u == ivs[i-1].v && ivs[i].u%2 == 1) {
-					return fmt.Errorf("%s: %s channel %d track %d intervals [%d,%d] and [%d,%d] overlap (half-position units)",
-						spec.Name, what, k.index, k.track, ivs[i-1].u, ivs[i-1].v, ivs[i].u, ivs[i].v)
-				}
-			}
-		}
-		return nil
-	}
-	if err := checkDisjoint(rowIv, "row"); err != nil {
-		return err
-	}
-	return checkDisjoint(colIv, "column")
-}
-
-// bentHalfIntervals returns a bent edge's two half-position intervals: the
-// horizontal segment from the U port (2·UCol) to the trunk channel
-// (2·VCol+1), and the vertical segment from URow's channel (2·URow+1) to
-// the V port (2·VRow), each normalized to u <= v.
-func bentHalfIntervals(e BentEdge) (hu, hv, vu, vv int) {
-	hu, hv = 2*e.UCol, 2*e.VCol+1
-	if hu > hv {
-		hu, hv = hv, hu
-	}
-	vu, vv = 2*e.URow+1, 2*e.VRow
-	if vu > vv {
-		vu, vv = vv, vu
-	}
-	return
-}
-
-// checkOverlapsFlat is the arena path's interval-disjointness check: one
-// flat tuple slab per direction, sorted by (channel, track, u, v), with
-// same-track runs scanned under the map path's overlap rule.
-func checkOverlapsFlat(spec *Spec, s *BuildScratch) error {
 	rows := s.ivs.take(len(spec.RowEdges)+len(spec.Bent), false)
 	k := 0
 	for _, e := range spec.RowEdges {
@@ -1003,6 +859,27 @@ func checkOverlapsFlat(spec *Spec, s *BuildScratch) error {
 	return scanOverlaps(spec.Name, "column", cols)
 }
 
+// bentHalfIntervals returns a bent edge's two half-position intervals: the
+// horizontal segment from the U port (2·UCol) to the trunk channel
+// (2·VCol+1), and the vertical segment from URow's channel (2·URow+1) to
+// the V port (2·VRow), each normalized to u <= v.
+func bentHalfIntervals(e BentEdge) (hu, hv, vu, vv int) {
+	hu, hv = 2*e.UCol, 2*e.VCol+1
+	if hu > hv {
+		hu, hv = hv, hu
+	}
+	vu, vv = 2*e.URow+1, 2*e.VRow
+	if vu > vv {
+		vu, vv = vv, vu
+	}
+	return
+}
+
+// scanOverlaps sorts one direction's intervals and scans same-track runs.
+// Touching at a node (even half-position) is safe: distinct ports order the
+// realized endpoints. Touching inside a channel (odd half-position) is not,
+// since both segments end at track-slot coordinates that need not be
+// ordered.
 func scanOverlaps(name, what string, ivs []ivRec) error {
 	slices.SortFunc(ivs, func(a, b ivRec) int {
 		if a.ch != b.ch {

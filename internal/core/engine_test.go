@@ -313,6 +313,27 @@ func TestBuildRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// TestOverlapErrorDeterministic builds a spec with two overlapping track
+// pairs, declared highest (channel, track) first, and requires every default
+// build to report the same one: the lowest (channel, track) pair.
+func TestOverlapErrorDeterministic(t *testing.T) {
+	const want = "two-overlaps: row channel 0 track 5 intervals [0,4] and [2,6] overlap (half-position units)"
+	for i := 0; i < 20; i++ {
+		_, err := Build(Spec{
+			Name: "two-overlaps", Rows: 2, Cols: 4, L: 2,
+			RowEdges: []ChannelEdge{
+				{Index: 1, U: 0, V: 2, Track: 0},
+				{Index: 1, U: 1, V: 3, Track: 0},
+				{Index: 0, U: 0, V: 2, Track: 5},
+				{Index: 0, U: 1, V: 3, Track: 5},
+			},
+		})
+		if err == nil || err.Error() != want {
+			t.Fatalf("build %d: error %v, want %q", i, err, want)
+		}
+	}
+}
+
 func TestTouchingIntervalsSameTrack(t *testing.T) {
 	// Two edges sharing an endpoint on the same track must realize with
 	// interior-disjoint trunks thanks to port ordering.

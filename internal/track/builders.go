@@ -1,6 +1,9 @@
 package track
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Path returns the collinear layout of an n-node path: every link between
 // consecutive positions on a single track.
@@ -20,7 +23,7 @@ func Path(n int) *Collinear {
 // (§3.1): neighbor links on track 0, the wraparound link on track 1.
 // Ring(2) is a single link (a 2-node ring has one edge), Ring(1) is empty.
 func Ring(k int) *Collinear {
-	c := &Collinear{Name: fmt.Sprintf("ring(%d)", k), N: k}
+	c := &Collinear{Name: "ring(" + strconv.Itoa(k) + ")", N: k}
 	switch {
 	case k < 2:
 		return c
@@ -30,6 +33,7 @@ func Ring(k int) *Collinear {
 		return c
 	}
 	c.Tracks = 2
+	c.Edges = make([]Edge, 0, k)
 	for i := 0; i+1 < k; i++ {
 		c.Edges = append(c.Edges, Edge{U: i, V: i + 1, Track: 0})
 	}
@@ -120,9 +124,10 @@ func C4() *Collinear {
 func Product(g, h *Collinear) *Collinear {
 	n := g.N * h.N
 	c := &Collinear{
-		Name:   fmt.Sprintf("(%s)x(%s)", g.Name, h.Name),
+		Name:   "(" + g.Name + ")x(" + h.Name + ")",
 		N:      n,
 		Tracks: h.N*g.Tracks + h.Tracks,
+		Edges:  make([]Edge, 0, h.N*len(g.Edges)+g.N*len(h.Edges)),
 	}
 	// G-edges: copy j (j = H-position) keeps its own block of tracks, since
 	// interleaved intervals of different copies overlap.

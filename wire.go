@@ -213,11 +213,11 @@ func BuildSpecObserved(ctx context.Context, req BuildRequest, obsv *Observer) (*
 	return BuildSpecWith(ctx, req, obsv, nil)
 }
 
-// BuildSpecWith is BuildSpecObserved with an arena scratch: a non-nil
-// scratch selects the zero-alloc build path (see Options.Scratch for the
-// ownership contract), nil the default allocating path — the constructed
-// layout is byte-identical either way. The layoutd daemon and the batch
-// APIs route their builds through it to reuse one scratch across requests.
+// BuildSpecWith is BuildSpecObserved with a caller-owned scratch (see
+// Options.Scratch for the ownership contract); nil borrows a pooled one for
+// the build, and the constructed layout is the same either way. The layoutd
+// daemon and the batch APIs route their builds through it to reuse one
+// scratch across requests.
 func BuildSpecWith(ctx context.Context, req BuildRequest, obsv *Observer, scratch *BuildScratch) (*Layout, error) {
 	o := req.Options()
 	o.Context = ctx
